@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet test race lint-examples campaign-smoke fleet-smoke bench-snapshot bench-compare fuzz-smoke cover
+.PHONY: check build vet no-unsafe test race lint-examples campaign-smoke fleet-smoke bench-snapshot bench-compare fuzz-smoke cover
 
 # The CI gate: everything a PR must pass.
-check: vet build test race lint-examples campaign-smoke fleet-smoke
+check: vet no-unsafe build test race lint-examples campaign-smoke fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,12 @@ vet:
 	else \
 		echo "vet: staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
+
+# The simulation kernels and the CPU environments owe their speed to safe
+# Go: no non-test file there may import unsafe.
+no-unsafe:
+	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "unsafe"}}{{$$.ImportPath}}{{end}}{{end}}' ./internal/sim/... ./internal/cpu/...); \
+	if [ -n "$$bad" ]; then echo "no-unsafe: non-test files import unsafe in: $$bad" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -59,7 +65,8 @@ bench-snapshot:
 # BENCH_0 are compared too), warning on >15% ns/op regressions. The
 # campaign hot-path benchmarks (BENCH_STRICT_RE) fail the run outright on
 # regression; everything else stays advisory (STRICT=1 fails on any).
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
+# Numeric order: $(sort) is lexical and would rank BENCH_10 below BENCH_2.
+BENCH_BASELINE ?= $(shell ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
 BENCH_STRICT_RE ?= ^BenchmarkCampaign
 bench-compare:
 	./scripts/bench_snapshot.sh /tmp/bench_now.json
@@ -73,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzBDDEval -fuzztime 10s ./internal/exact
 	$(GO) test -run '^$$' -fuzz FuzzGatherScatterW -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzLookupBus -fuzztime 10s ./internal/sim
 
 # Coverage over the library packages (the cmd/ mains are exercised by the
 # smoke scripts, not unit tests).

@@ -17,6 +17,9 @@ package repro
 //	BenchmarkAblation*       — search-depth / term-count ablations
 //	BenchmarkExactVerify     — BDD re-proof of the heuristic MATE set
 //	BenchmarkExactFind       — exact prime-implicant term extraction
+//	BenchmarkEvalComb        — one dense gate pass of the 256-lane device, per active-group count
+//	BenchmarkCommitFFs       — one flip-flop commit, per active-group count
+//	BenchmarkFetch           — one memory-environment call, per count of distinct PCs
 //
 // Run everything with:  go test -bench=. -benchmem
 import (
@@ -30,6 +33,8 @@ import (
 
 	"repro/internal/collapse"
 	"repro/internal/core"
+	"repro/internal/cpu/avr"
+	"repro/internal/cpu/msp430"
 	"repro/internal/exact"
 	"repro/internal/experiments"
 	"repro/internal/hafi"
@@ -37,6 +42,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/netlist"
 	"repro/internal/prune"
+	"repro/internal/sim"
 	"repro/internal/verilog"
 )
 
@@ -495,6 +501,110 @@ func BenchmarkGateLevelSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run.Step()
 	}
+}
+
+// stepLayerCalls is the number of device calls one op of the Step-layer
+// benchmarks below makes: a single call is a few microseconds, which the
+// 1x snapshots bench-compare takes could not resolve.
+const stepLayerCalls = 4096
+
+// stepLayerDevice is what the Step-layer benchmarks drive of a wide device.
+type stepLayerDevice interface {
+	hafi.CompactRunW
+	EnvW() sim.EnvW
+}
+
+// benchStepLayer runs f on both cores with a 256-lane device in the state
+// of a full batch right after injection — golden checkpoint at half the
+// run, flip-flop l mod #FF flipped in lane l — compacted to ag groups.
+// pcBus is the core's instruction address bus.
+func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerDevice, pcBus []netlist.WireID, ag int)) {
+	avrCase, mspCase := experiments.PrepareAVR(), experiments.PrepareMSP430()
+	for _, cpu := range []struct {
+		c     *experiments.CPUCase
+		prog  []uint16
+		pcBus []netlist.WireID
+	}{
+		// Core synthesis is deterministic: a fresh core has the device's wire ids.
+		{avrCase, avrCase.FibProg, avr.NewCore().IMemAddr},
+		{mspCase, mspCase.ConvProg, msp430.NewCore().IMemAddr},
+	} {
+		c, prog := cpu.c, cpu.prog
+		golden, err := hafi.RecordGolden(c.NewRun(prog), 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run, err := c.NewRunW(prog, 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dev := run.(stepLayerDevice)
+		for _, ag := range ags {
+			b.Run(c.Name+"/"+benchName("ag", ag), func(b *testing.B) {
+				dev.LoadCheckpoint(golden.Checkpoints[golden.HaltCycle/2])
+				for l := 0; l < dev.Lanes(); l++ {
+					dev.FlipLane(l%len(c.NL.FFs), l)
+				}
+				if 64*ag < dev.Lanes() {
+					src := make([]uint16, 64*ag)
+					for i := range src {
+						src[i] = uint16(i)
+					}
+					dev.CompactLanes(src)
+				}
+				f(b, dev, cpu.pcBus, ag)
+			})
+		}
+	}
+}
+
+// BenchmarkEvalComb measures one dense combinational pass (the resolved
+// kernels at 2-4 groups, the index kernel at one).
+func BenchmarkEvalComb(b *testing.B) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ []netlist.WireID, ag int) {
+		m := dev.MachW()
+		b.ResetTimer()
+		for i := 0; i < b.N*stepLayerCalls; i++ {
+			m.EvalComb()
+		}
+		evals := float64(len(m.NL.Gates)) * float64(64*ag) * float64(b.N*stepLayerCalls)
+		b.ReportMetric(evals/b.Elapsed().Seconds(), "gate-evals/s")
+	})
+}
+
+// BenchmarkCommitFFs measures one flip-flop commit.
+func BenchmarkCommitFFs(b *testing.B) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ []netlist.WireID, _ int) {
+		m := dev.MachW()
+		b.ResetTimer()
+		for i := 0; i < b.N*stepLayerCalls; i++ {
+			m.CommitFFs()
+		}
+	})
+}
+
+// BenchmarkFetch measures one memory-environment call at four groups with
+// the lanes spread round-robin over a given number of PCs: one cluster is
+// the fault-free device, 13 the median of a campaign cycle, 64 is past the
+// limit where the fetch leaves the plane domain for the transposes. The
+// data-memory half of the call does not depend on the count.
+func BenchmarkFetch(b *testing.B) {
+	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, pcBus []netlist.WireID, _ int) {
+		m, env := dev.MachW(), dev.EnvW()
+		m.EvalComb()
+		pcs := make([]uint16, dev.Lanes())
+		for _, clusters := range []int{1, 13, 64} {
+			b.Run(benchName("clusters", clusters), func(b *testing.B) {
+				for l := range pcs {
+					pcs[l] = uint16(3 * (l % clusters))
+				}
+				m.ScatterLanes(pcBus, pcs)
+				for i := 0; i < b.N*stepLayerCalls; i++ {
+					env.SetInputsW(m)
+				}
+			})
+		}
+	})
 }
 
 func benchName(key string, v int) string {

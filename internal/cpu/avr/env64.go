@@ -26,8 +26,8 @@ type SystemW struct {
 
 	// Per-call transpose scratch, lane-major. Kept on the system so the
 	// per-cycle environment is allocation-free at any width.
-	pc, instr, addr, rdata, wdata []uint16
-	weMask                        []uint64
+	addr, rdata, wdata []uint16
+	weMask             []uint64
 }
 
 // NewSystemW builds the lane-parallel machine at width w (64·w lanes) with
@@ -44,8 +44,6 @@ func NewSystemW(core *Core, prog []uint16, w int) (*SystemW, error) {
 		IMem:        prog,
 		DMem:        make([][1 << DMemBits]uint8, lanes),
 		WriteDigest: make([]uint64, lanes),
-		pc:          make([]uint16, lanes),
-		instr:       make([]uint16, lanes),
 		addr:        make([]uint16, lanes),
 		rdata:       make([]uint16, lanes),
 		wdata:       make([]uint16, lanes),
@@ -75,71 +73,24 @@ func (s *SystemW) env(m *sim.MachineW) {
 	w := m.ActiveGroups()
 	lanes := m.ActiveLanes()
 
-	// Instruction fetch. When every lane agrees on the PC (benign lanes
-	// track the golden control flow, so this is the common case before the
-	// batch diverges) a single fetch is broadcast to all lanes; otherwise
-	// the address bus is transposed to lane-major and fetched per lane.
-	uniform := true
-	for _, wire := range core.IMemAddr {
-		first := m.LaneWord(wire, 0)
-		if first != 0 && first != ^uint64(0) {
-			uniform = false
-			break
-		}
-		for g := 1; g < w; g++ {
-			if m.LaneWord(wire, g) != first {
-				uniform = false
-				break
+	// Instruction fetch: served in the plane domain, one pass per distinct
+	// PC among the live lanes (benign lanes track the golden control flow,
+	// so there are few). A batch scattered over more PCs than LookupBus
+	// serves goes through the lane-major transposes instead.
+	if !m.LookupBus(core.IMemAddr, core.IMemData, s.IMem) {
+		m.GatherLanes(core.IMemAddr, s.addr)
+		for l := 0; l < lanes; l++ {
+			s.rdata[l] = 0
+			if int(s.addr[l]) < len(s.IMem) {
+				s.rdata[l] = s.IMem[s.addr[l]]
 			}
 		}
-		if !uniform {
-			break
-		}
-	}
-	if uniform {
-		var pc uint64
-		for i, wire := range core.IMemAddr {
-			pc |= (m.LaneWord(wire, 0) & 1) << uint(i)
-		}
-		var instr uint16
-		if int(pc) < len(s.IMem) {
-			instr = s.IMem[pc]
-		}
-		for i, wire := range core.IMemData {
-			m.Broadcast(wire, instr>>uint(i)&1 == 1)
-		}
-	} else {
-		m.GatherLanes(core.IMemAddr, s.pc)
-		// Lanes at different PCs can still fetch the same word — runaway
-		// lanes sweeping past the end of IMem all read zero for thousands of
-		// cycles — so the 16-wire scatter transpose is skipped whenever the
-		// fetched instructions agree.
-		same := true
-		first := uint16(0)
-		if int(s.pc[0]) < len(s.IMem) {
-			first = s.IMem[s.pc[0]]
-		}
-		s.instr[0] = first
-		for l := 1; l < lanes; l++ {
-			var ins uint16
-			if int(s.pc[l]) < len(s.IMem) {
-				ins = s.IMem[s.pc[l]]
-			}
-			s.instr[l] = ins
-			same = same && ins == first
-		}
-		if same {
-			for i, wire := range core.IMemData {
-				m.Broadcast(wire, first>>uint(i)&1 == 1)
-			}
-		} else {
-			m.ScatterLanes(core.IMemData, s.instr)
-		}
+		m.ScatterLanes(core.IMemData, s.rdata)
 	}
 
 	// Data memory: the contents are lane-private, so the access itself is
 	// always per lane, but the bus crossings are bit-matrix transposes —
-	// skipped, like the fetch above, whenever the bus is uniform (runaway
+	// skipped whenever the bus is uniform (runaway
 	// lanes executing the all-zero instruction agree on the address, and
 	// their reads mostly return the shared golden memory image).
 	uaddr := true

@@ -830,15 +830,18 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 	if !sc.suspendOK {
 		suspRun = nil
 	}
-	suspendAfter := len(digests)
+	// maxEnd is the last cycle any lane's fault is active. Compaction only
+	// drops lanes, so it stays an upper bound; from it on the per-lane
+	// re-injection and window loops below have nothing to do (for SEU that
+	// is every cycle after the first).
+	maxEnd := 0
 	for lane := 0; lane < nLanes; lane++ {
-		if ends[lane] > suspendAfter {
-			suspendAfter = ends[lane]
-		}
+		maxEnd = max(maxEnd, ends[lane])
 	}
+	suspendAfter := max(len(digests), maxEnd)
 
 	for cyc := cycle; cyc < timeout; cyc++ {
-		if cyc > cycle {
+		if cyc > cycle && cyc < maxEnd {
 			readHalted()
 			for lane := 0; lane < nLanes; lane++ {
 				if cyc < ends[lane] && (halted[lane>>6]|done[lane>>6])>>(uint(lane)&63)&1 == 0 {
@@ -890,9 +893,11 @@ func (c *Controller) runBatch(cfg *CampaignConfig, run RunW, batch []FaultPoint,
 				if hi > nLanes {
 					hi = nLanes
 				}
-				for lane := base; lane < hi; lane++ {
-					if cyc < ends[lane] {
-						elig &^= 1 << uint(lane-base)
+				if cyc < maxEnd {
+					for lane := base; lane < hi; lane++ {
+						if cyc < ends[lane] {
+							elig &^= 1 << uint(lane-base)
+						}
 					}
 				}
 				if elig == 0 {

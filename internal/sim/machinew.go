@@ -16,9 +16,11 @@ import (
 //
 // Layout: values is wire-major with stride W — values[int(w)*W+g] is lane
 // group g (lanes 64g..64g+63) of wire w. The evaluation program indices
-// are pre-scaled by W at construction, so the dense kernels index
-// v[o.out]..v[o.out+W-1] without a per-access multiply, and the W=1
-// program is bit-for-bit the classic Machine64 program.
+// are pre-scaled by W at construction, so the W=1 program is bit-for-bit
+// the classic Machine64 program. For W >= 2 a second, resolved program
+// (rops) holds every operand as a pointer into values, taken once at
+// construction: the unrolled kernels then read o.in[0][g] with no index
+// arithmetic and no bounds check per cycle.
 //
 // Width parameterization is deliberately NOT done with Go generics: a
 // type parameter cannot range over array lengths ([1]uint64|[4]uint64 has
@@ -26,9 +28,12 @@ import (
 // would put an indirect call in the hottest loop of the repository. The
 // stride-W layout with a hand-unrolled W=4 kernel benchmarks cleaner.
 type MachineW struct {
-	NL     *netlist.Netlist
-	W      int
-	Cycle  int
+	NL    *netlist.Netlist
+	W     int
+	Cycle int
+	// values is never reallocated after construction: rops, envROps and
+	// ffPairs point into it. Its capacity exceeds its length by one view
+	// (4 words) so the last wire's *[4]uint64 view is in range at any W.
 	values []uint64
 
 	// ag is the number of active lane groups (1 <= ag <= W). CompactLanes
@@ -36,13 +41,17 @@ type MachineW struct {
 	// LoadState restore the full width. The dense kernels, flip-flop
 	// commit and bus transposes only touch groups < ag, which is what
 	// makes a batch whose lanes have mostly retired cheap to finish.
-	ag int
+	// live is the number of lanes that carry an experiment (lanes
+	// 0..live-1): the lanes CompactLanes kept, or all of them.
+	ag, live int
 
 	cscratch []uint64 // CompactLanes per-wire staging, len W
 
 	ops     []op64 // out/in pre-scaled by W
+	rops    []opR  // ops resolved to views into values (W >= 2 only)
 	runs    []opRun
 	envOps  []op64 // subprogram: gates downstream of env-written wires
+	envROps []opR
 	envRuns []opRun
 
 	// envWrites/envCone/envOpFlag record the SetEnvWrites declaration for
@@ -53,9 +62,47 @@ type MachineW struct {
 	envCone   []bool
 	envOpFlag []bool
 
-	ffD, ffQ   []int32  // unscaled wire ids (golden-row lookups)
-	ffDs, ffQs []int32  // pre-scaled (wire*W)
-	ffNext     []uint64 // len FFs*W
+	ffD, ffQ   []int32 // unscaled wire ids (golden-row lookups)
+	ffDs, ffQs []int32 // pre-scaled (wire*W)
+	// Exactly one of the two is non-nil: ffNext (len FFs*W) stages the
+	// commit when some D wire is another flip-flop's Q, ffPairs holds the
+	// resolved D->Q copies when none is.
+	ffNext  []uint64
+	ffPairs []ffPair
+
+	// LookupBus scratch (len W) and its back-off counter.
+	unserved, same []uint64
+	lookupSkip     int
+}
+
+// opR is one gate of the resolved program: the operands of ops[i] as
+// views into values. Pins beyond the cell's input count are nil. The
+// views are four words at every width; a kernel touches only words < ag.
+type opR struct {
+	out *[4]uint64
+	in  [4]*[4]uint64
+}
+
+// ffPair is one flip-flop of the direct commit.
+type ffPair struct{ d, q *[4]uint64 }
+
+// view returns the four lane words starting at a pre-scaled wire index.
+func (m *MachineW) view(i int32) *[4]uint64 { return (*[4]uint64)(m.values[i : i+4]) }
+
+// resolve builds the resolved twin of an index program.
+func (m *MachineW) resolve(ops []op64) []opR {
+	if m.W < 2 {
+		return nil // one group runs the index program (evalProgram)
+	}
+	rops := make([]opR, len(ops))
+	for i := range ops {
+		o := &ops[i]
+		rops[i].out = m.view(o.out)
+		for p := 0; p < int(o.numPins); p++ {
+			rops[i].in[p] = m.view(o.in[p])
+		}
+	}
+	return rops
 }
 
 // NewMachineW creates a 64·W-lane machine and resets it. w must be >= 1;
@@ -64,7 +111,9 @@ func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("sim: machine width %d out of range (want >= 1)", w)
 	}
-	m := &MachineW{NL: nl, W: w, ag: w, values: make([]uint64, nl.NumWires()*w), cscratch: make([]uint64, w)}
+	nv := nl.NumWires() * w
+	m := &MachineW{NL: nl, W: w, values: make([]uint64, nv+4)[:nv], cscratch: make([]uint64, w),
+		unserved: make([]uint64, w), same: make([]uint64, w)}
 	level := make([]int32, nl.NumWires())
 	for _, gi := range nl.EvalOrder() {
 		g := &nl.Gates[gi]
@@ -100,16 +149,35 @@ func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 		}
 	}
 	m.runs = buildRuns(m.ops)
+	m.rops = m.resolve(m.ops)
 	m.ffD = make([]int32, len(nl.FFs))
 	m.ffQ = make([]int32, len(nl.FFs))
 	m.ffDs = make([]int32, len(nl.FFs))
 	m.ffQs = make([]int32, len(nl.FFs))
-	m.ffNext = make([]uint64, len(nl.FFs)*w)
 	for i := range nl.FFs {
 		m.ffD[i] = int32(nl.FFs[i].D)
 		m.ffQ[i] = int32(nl.FFs[i].Q)
 		m.ffDs[i] = int32(nl.FFs[i].D) * int32(w)
 		m.ffQs[i] = int32(nl.FFs[i].Q) * int32(w)
+	}
+	// A flip-flop whose D wire is another's Q (a shift register) must see
+	// the pre-clock value, so such netlists commit through ffNext; every
+	// other netlist, both CPU cores included, copies D to Q in one pass.
+	isQ := make([]bool, nl.NumWires())
+	for _, q := range m.ffQ {
+		isQ[q] = true
+	}
+	direct := true
+	for _, d := range m.ffD {
+		direct = direct && !isQ[d]
+	}
+	if direct {
+		m.ffPairs = make([]ffPair, len(nl.FFs))
+		for i := range m.ffPairs {
+			m.ffPairs[i] = ffPair{d: m.view(m.ffDs[i]), q: m.view(m.ffQs[i])}
+		}
+	} else {
+		m.ffNext = make([]uint64, len(nl.FFs)*w)
 	}
 	m.Reset()
 	return m, nil
@@ -122,8 +190,13 @@ func (m *MachineW) NumLanes() int { return 64 * m.W }
 // shrinks it; Reset/LoadState restore the full width).
 func (m *MachineW) ActiveGroups() int { return m.ag }
 
-// ActiveLanes returns the number of live lanes (64·ActiveGroups).
+// ActiveLanes returns the number of simulated lanes (64·ActiveGroups).
 func (m *MachineW) ActiveLanes() int { return 64 * m.ag }
+
+// LiveLanes returns the number of lanes that carry an experiment: the
+// count CompactLanes last packed, or every lane after Reset/LoadState.
+// Lanes from LiveLanes() up to ActiveLanes() are simulated but dead.
+func (m *MachineW) LiveLanes() int { return m.live }
 
 // CompactLanes packs the listed source lanes into lanes 0..len(src)-1 (in
 // order) and shrinks the active group count to cover them — the
@@ -150,7 +223,7 @@ func (m *MachineW) CompactLanes(src []uint16) {
 		}
 		copy(vals[:newAG], sc[:newAG])
 	}
-	m.ag = newAG
+	m.ag, m.live, m.lookupSkip = newAG, n, 0
 }
 
 // LaneWireWords returns the length of an ExportLane snapshot: the wire
@@ -218,7 +291,7 @@ func (m *MachineW) InputStateLane(lane int) []bool {
 
 // Reset initialises every lane with the flip-flop reset state.
 func (m *MachineW) Reset() {
-	m.ag = m.W
+	m.ag, m.live, m.lookupSkip = m.W, 64*m.W, 0
 	for i := range m.values {
 		m.values[i] = 0
 	}
@@ -265,7 +338,7 @@ func (m *MachineW) FFLane(ffIndex, lane int) bool {
 // LoadState broadcasts a scalar flip-flop snapshot (from Machine.FFState)
 // into every lane and restores the full lane width after a CompactLanes.
 func (m *MachineW) LoadState(ffs []bool) {
-	m.ag = m.W
+	m.ag, m.live, m.lookupSkip = m.W, 64*m.W, 0
 	for i, v := range ffs {
 		var x uint64
 		if v {
@@ -286,7 +359,7 @@ func (m *MachineW) LoadInputs(ins []bool) {
 }
 
 // EvalComb evaluates all gates once across the active lane groups.
-func (m *MachineW) EvalComb() { evalProgramW(m.ops, m.runs, m.values, m.ag) }
+func (m *MachineW) EvalComb() { evalProgramW(m.ops, m.rops, m.runs, m.values, m.ag) }
 
 // SetEnvWrites declares the complete set of wires the lane environment may
 // drive between the two settle passes. The machine precomputes the cone of
@@ -323,6 +396,7 @@ func (m *MachineW) SetEnvWrites(wires ...[]netlist.WireID) {
 			m.envOps = append(m.envOps, *o)
 		}
 	}
+	m.envROps = m.resolve(m.envOps)
 	m.envRuns = buildRuns(m.envOps)
 	m.envCone = inCone
 }
@@ -376,61 +450,50 @@ func (m *MachineW) FirstDivergedFF(lane int, goldenRow []uint64) int {
 	return -1
 }
 
-// CommitFFs clocks every flip-flop in the active lanes.
+// CommitFFs clocks every flip-flop in the active lanes: one D->Q pass
+// through the resolved pairs, or — when the netlist has a flip-flop fed by
+// another flip-flop's Q, decided at construction — staged through ffNext.
 func (m *MachineW) CommitFFs() {
-	if m.W == 1 {
-		// Keep the 64-lane fast path as tight as the original Machine64.
-		for i, d := range m.ffD {
-			m.ffNext[i] = m.values[d]
+	m.Cycle++
+	if m.ffPairs == nil {
+		nx, v, w, ag := m.ffNext, m.values, m.W, m.ag
+		for i, d := range m.ffDs {
+			copy(nx[i*w:i*w+ag], v[d:int(d)+ag])
 		}
-		for i, q := range m.ffQ {
-			m.values[q] = m.ffNext[i]
+		for i, q := range m.ffQs {
+			copy(v[q:int(q)+ag], nx[i*w:i*w+ag])
 		}
-	} else {
-		// Unrolled per active-group-count staging: the generic copy()
-		// variant spends its time in memmove call overhead at these tiny
-		// lengths. ffNext is scratch, so the narrow cases pack it densely.
-		nx, v := m.ffNext, m.values
-		switch m.ag {
-		case 1:
-			for i, d := range m.ffDs {
-				nx[i] = v[d]
-			}
-			for i, q := range m.ffQs {
-				v[q] = nx[i]
-			}
-		case 2:
-			for i, d := range m.ffDs {
-				nx[2*i], nx[2*i+1] = v[d], v[d+1]
-			}
-			for i, q := range m.ffQs {
-				v[q], v[q+1] = nx[2*i], nx[2*i+1]
-			}
-		case 3:
-			for i, d := range m.ffDs {
-				nx[3*i], nx[3*i+1], nx[3*i+2] = v[d], v[d+1], v[d+2]
-			}
-			for i, q := range m.ffQs {
-				v[q], v[q+1], v[q+2] = nx[3*i], nx[3*i+1], nx[3*i+2]
-			}
-		case 4:
-			for i, d := range m.ffDs {
-				nx[4*i], nx[4*i+1], nx[4*i+2], nx[4*i+3] = v[d], v[d+1], v[d+2], v[d+3]
-			}
-			for i, q := range m.ffQs {
-				v[q], v[q+1], v[q+2], v[q+3] = nx[4*i], nx[4*i+1], nx[4*i+2], nx[4*i+3]
-			}
-		default:
-			w, ag := m.W, m.ag
-			for i, d := range m.ffDs {
-				copy(nx[i*w:i*w+ag], v[d:int(d)+ag])
-			}
-			for i, q := range m.ffQs {
-				copy(v[q:int(q)+ag], nx[i*w:i*w+ag])
-			}
+		return
+	}
+	// Unrolled per active-group count: copy() spends its time in memmove
+	// call overhead at these tiny lengths.
+	switch pairs := m.ffPairs; m.ag {
+	case 1:
+		for i := range pairs {
+			pairs[i].q[0] = pairs[i].d[0]
+		}
+	case 2:
+		for i := range pairs {
+			d, q := pairs[i].d, pairs[i].q
+			q[0], q[1] = d[0], d[1]
+		}
+	case 3:
+		for i := range pairs {
+			d, q := pairs[i].d, pairs[i].q
+			q[0], q[1], q[2] = d[0], d[1], d[2]
+		}
+	case 4:
+		for i := range pairs {
+			d, q := pairs[i].d, pairs[i].q
+			q[0], q[1], q[2], q[3] = d[0], d[1], d[2], d[3]
+		}
+	default:
+		v, ag := m.values, m.ag
+		for i, d := range m.ffDs {
+			q := int(m.ffQs[i])
+			copy(v[q:q+ag], v[d:int(d)+ag])
 		}
 	}
-	m.Cycle++
 }
 
 // EnvW services the environment of all 64·W lanes between the two
@@ -453,7 +516,7 @@ func (m *MachineW) Settle(env EnvW) {
 	if env != nil {
 		env.SetInputsW(m)
 		if m.envOps != nil {
-			evalProgramW(m.envOps, m.envRuns, m.values, m.ag)
+			evalProgramW(m.envOps, m.envROps, m.envRuns, m.values, m.ag)
 		} else {
 			m.EvalComb()
 		}
@@ -485,16 +548,16 @@ func (m *MachineW) ReadBusLane(bus []netlist.WireID, lane int) uint64 {
 // for two to four groups, and a generic per-group loop beyond that. After
 // lane compaction a wide machine walks down this ladder as its batch
 // drains.
-func evalProgramW(ops []op64, runs []opRun, v []uint64, w int) {
+func evalProgramW(ops []op64, rops []opR, runs []opRun, v []uint64, w int) {
 	switch w {
 	case 1:
 		evalProgram(ops, runs, v)
 	case 2:
-		evalProgram2(ops, runs, v)
+		evalProgram2(ops, rops, runs, v)
 	case 3:
-		evalProgram3(ops, runs, v)
+		evalProgram3(ops, rops, runs, v)
 	case 4:
-		evalProgram4(ops, runs, v)
+		evalProgram4(ops, rops, runs, v)
 	default:
 		evalProgramN(ops, v, w)
 	}
@@ -596,128 +659,128 @@ func evalOpWords(o *op64, in *[4]uint64) uint64 {
 	}
 }
 
-// at4 views four consecutive lane words as one 256-lane wide word.
-func at4(v []uint64, i int32) *[4]uint64 { return (*[4]uint64)(v[i:]) }
-
 // evalProgram4 is the hand-unrolled W=4 (256-lane) dense kernel: the same
-// kind-grouped dispatch as evalProgram, four lane words per wire. The
-// 4-element array expressions compile to straight-line loads/ops/stores
-// (and vectorize where the ISA allows), which benchmarked ahead of both a
-// generics-based and an inner-loop variant.
-func evalProgram4(ops []op64, runs []opRun, v []uint64) {
+// kind-grouped dispatch as evalProgram, four lane words per wire, over the
+// resolved program. Each operand is a *[4]uint64 taken once at
+// construction, so an op is pointer loads, constant-index word ops and
+// stores. The per-cycle slice->array view this replaces (at4(v, o.in[0]))
+// cost two bounds checks and a pointer mask per operand — 14 % of an AVR
+// campaign's CPU time in the view helper alone. Only the truth-table
+// fallback still goes through the index program.
+func evalProgram4(ops []op64, rops []opR, runs []opRun, v []uint64) {
 	for _, r := range runs {
-		seg := ops[r.start:r.end]
+		seg := rops[r.start:r.end]
 		switch r.kind {
 		case cell.TIE0:
 			for i := range seg {
-				d := at4(v, seg[i].out)
+				d := seg[i].out
 				d[0], d[1], d[2], d[3] = 0, 0, 0, 0
 			}
 		case cell.TIE1:
 			for i := range seg {
-				d := at4(v, seg[i].out)
+				d := seg[i].out
 				d[0], d[1], d[2], d[3] = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 			}
 		case cell.BUF:
 			for i := range seg {
 				o := &seg[i]
-				a, d := at4(v, o.in[0]), at4(v, o.out)
+				a, d := o.in[0], o.out
 				d[0], d[1], d[2], d[3] = a[0], a[1], a[2], a[3]
 			}
 		case cell.INV:
 			for i := range seg {
 				o := &seg[i]
-				a, d := at4(v, o.in[0]), at4(v, o.out)
+				a, d := o.in[0], o.out
 				d[0], d[1], d[2], d[3] = ^a[0], ^a[1], ^a[2], ^a[3]
 			}
 		case cell.AND2:
 			for i := range seg {
 				o := &seg[i]
-				a, b, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.out)
+				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2], d[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
 			}
 		case cell.AND3:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.out)
+				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
 				d[0], d[1], d[2], d[3] = a[0]&b[0]&c[0], a[1]&b[1]&c[1], a[2]&b[2]&c[2], a[3]&b[3]&c[3]
 			}
 		case cell.AND4:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, e, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.in[3]), at4(v, o.out)
+				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
 				d[0], d[1], d[2], d[3] = a[0]&b[0]&c[0]&e[0], a[1]&b[1]&c[1]&e[1], a[2]&b[2]&c[2]&e[2], a[3]&b[3]&c[3]&e[3]
 			}
 		case cell.NAND2:
 			for i := range seg {
 				o := &seg[i]
-				a, b, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.out)
+				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2], d[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
 			}
 		case cell.NAND3:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.out)
+				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
 				d[0], d[1], d[2], d[3] = ^(a[0] & b[0] & c[0]), ^(a[1] & b[1] & c[1]), ^(a[2] & b[2] & c[2]), ^(a[3] & b[3] & c[3])
 			}
 		case cell.NAND4:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, e, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.in[3]), at4(v, o.out)
+				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
 				d[0], d[1], d[2], d[3] = ^(a[0] & b[0] & c[0] & e[0]), ^(a[1] & b[1] & c[1] & e[1]), ^(a[2] & b[2] & c[2] & e[2]), ^(a[3] & b[3] & c[3] & e[3])
 			}
 		case cell.OR2:
 			for i := range seg {
 				o := &seg[i]
-				a, b, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.out)
+				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2], d[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
 			}
 		case cell.OR3:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.out)
+				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
 				d[0], d[1], d[2], d[3] = a[0]|b[0]|c[0], a[1]|b[1]|c[1], a[2]|b[2]|c[2], a[3]|b[3]|c[3]
 			}
 		case cell.OR4:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, e, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.in[3]), at4(v, o.out)
+				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
 				d[0], d[1], d[2], d[3] = a[0]|b[0]|c[0]|e[0], a[1]|b[1]|c[1]|e[1], a[2]|b[2]|c[2]|e[2], a[3]|b[3]|c[3]|e[3]
 			}
 		case cell.NOR2:
 			for i := range seg {
 				o := &seg[i]
-				a, b, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.out)
+				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2], d[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
 			}
 		case cell.NOR3:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.out)
+				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
 				d[0], d[1], d[2], d[3] = ^(a[0] | b[0] | c[0]), ^(a[1] | b[1] | c[1]), ^(a[2] | b[2] | c[2]), ^(a[3] | b[3] | c[3])
 			}
 		case cell.NOR4:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, e, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.in[3]), at4(v, o.out)
+				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
 				d[0], d[1], d[2], d[3] = ^(a[0] | b[0] | c[0] | e[0]), ^(a[1] | b[1] | c[1] | e[1]), ^(a[2] | b[2] | c[2] | e[2]), ^(a[3] | b[3] | c[3] | e[3])
 			}
 		case cell.XOR2:
 			for i := range seg {
 				o := &seg[i]
-				a, b, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.out)
+				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2], d[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
 			}
 		case cell.XNOR2:
 			for i := range seg {
 				o := &seg[i]
-				a, b, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.out)
+				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2], d[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
 			}
 		case cell.MUX2:
 			for i := range seg {
 				o := &seg[i]
-				a, b, s, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.out)
+				a, b, s, d := o.in[0], o.in[1], o.in[2], o.out
 				d[0] = a[0] ^ (s[0] & (a[0] ^ b[0]))
 				d[1] = a[1] ^ (s[1] & (a[1] ^ b[1]))
 				d[2] = a[2] ^ (s[2] & (a[2] ^ b[2]))
@@ -726,13 +789,13 @@ func evalProgram4(ops []op64, runs []opRun, v []uint64) {
 		case cell.AOI21:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.out)
+				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
 				d[0], d[1], d[2], d[3] = ^((a[0] & b[0]) | c[0]), ^((a[1] & b[1]) | c[1]), ^((a[2] & b[2]) | c[2]), ^((a[3] & b[3]) | c[3])
 			}
 		case cell.AOI22:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, e, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.in[3]), at4(v, o.out)
+				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
 				d[0] = ^((a[0] & b[0]) | (c[0] & e[0]))
 				d[1] = ^((a[1] & b[1]) | (c[1] & e[1]))
 				d[2] = ^((a[2] & b[2]) | (c[2] & e[2]))
@@ -741,13 +804,13 @@ func evalProgram4(ops []op64, runs []opRun, v []uint64) {
 		case cell.OAI21:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.out)
+				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
 				d[0], d[1], d[2], d[3] = ^((a[0] | b[0]) & c[0]), ^((a[1] | b[1]) & c[1]), ^((a[2] | b[2]) & c[2]), ^((a[3] | b[3]) & c[3])
 			}
 		case cell.OAI22:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, e, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.in[3]), at4(v, o.out)
+				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
 				d[0] = ^((a[0] | b[0]) & (c[0] | e[0]))
 				d[1] = ^((a[1] | b[1]) & (c[1] | e[1]))
 				d[2] = ^((a[2] | b[2]) & (c[2] | e[2]))
@@ -756,15 +819,15 @@ func evalProgram4(ops []op64, runs []opRun, v []uint64) {
 		case cell.MAJ3:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c, d := at4(v, o.in[0]), at4(v, o.in[1]), at4(v, o.in[2]), at4(v, o.out)
+				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
 				d[0] = (a[0] & b[0]) | (a[0] & c[0]) | (b[0] & c[0])
 				d[1] = (a[1] & b[1]) | (a[1] & c[1]) | (b[1] & c[1])
 				d[2] = (a[2] & b[2]) | (a[2] & c[2]) | (b[2] & c[2])
 				d[3] = (a[3] & b[3]) | (a[3] & c[3]) | (b[3] & c[3])
 			}
 		default:
-			for i := range seg {
-				o := &seg[i]
+			for i := r.start; i < r.end; i++ {
+				o := &ops[i]
 				for g := int32(0); g < 4; g++ {
 					v[o.out+g] = evalOpG(o, v, g)
 				}

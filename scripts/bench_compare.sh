@@ -11,8 +11,8 @@
 # single-run 1x snapshots are noisy, so CI surfaces regressions without
 # failing the build. Set STRICT=1 to turn every warning into a failure, or
 # STRICT_RE to a grep -E pattern to fail only when a matching benchmark
-# regresses (CI guards the campaign hot path strictly and leaves the noisier
-# microbenches advisory).
+# regresses or is missing from either snapshot (CI guards the campaign hot
+# path strictly and leaves the noisier microbenches advisory).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -57,6 +57,17 @@ missing=$(join -v 1 "$tmp/base" "$tmp/cand" | awk '{print $1}')
 if [ -n "$missing" ]; then
     echo "bench-compare: benchmarks missing from $cand:" >&2
     printf '  %s\n' $missing >&2
+fi
+# A strict benchmark on one side only was never compared: that is a failure
+# of the gate, not a pass (a renamed or deleted hot-path benchmark, or a
+# baseline that predates it).
+if [ -n "$strict_re" ]; then
+    unpaired=$(join -v 1 -v 2 "$tmp/base" "$tmp/cand" | awk '{print $1}' | grep -E "$strict_re" | sort -u || true)
+    if [ -n "$unpaired" ]; then
+        echo "bench-compare: FAIL: strict benchmark(s) missing from $base or $cand (pattern: $strict_re):" >&2
+        printf '  %s\n' $unpaired >&2
+        exit 1
+    fi
 fi
 
 if [ "$regressions" -gt 0 ]; then
