@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet no-unsafe test race lint-examples campaign-smoke fleet-smoke bench-snapshot bench-compare fuzz-smoke cover
+.PHONY: check build vet no-unsafe test race lint-examples campaign-smoke fleet-smoke bench-smoke bench-snapshot bench-compare fuzz-smoke cover
 
 # The CI gate: everything a PR must pass.
-check: vet no-unsafe build test race lint-examples campaign-smoke fleet-smoke
+check: vet no-unsafe build test race lint-examples campaign-smoke fleet-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,14 @@ campaign-smoke:
 # against an uninterrupted single-process run.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
+
+# The campaign-stack benchmark at smoke scale (stride x 20, one timed rep):
+# all four workloads, both halves, in seconds. Its timings mean nothing at
+# this scale; what gates is its correctness checks (a)-(e) — journal
+# complete, digests stable across reps, resume and fleet journals equal to
+# the uninterrupted one, the scalar audit of a journal sample.
+bench-smoke:
+	$(GO) run ./bench -seed 1 -scale smoke
 
 # Refresh a committed benchmark snapshot (default: the BENCH_0.json
 # baseline; BENCH_OUT=BENCH_1.json snapshots the current tree next to it).

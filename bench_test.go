@@ -206,11 +206,8 @@ func BenchmarkCampaignBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignWide sweeps the wide-engine configuration matrix on the
-// prepared inputs of BenchmarkCampaignBatched: lane width × evaluation
-// mode (sparse cone-delta vs dense dispatch). The lanes=64/delta and
-// lanes=256/delta rows are the W ablation EXPERIMENTS.md tracks; the
-// dense rows isolate the cone-delta payoff at fixed width.
+// BenchmarkCampaignWide sweeps the device width on the prepared inputs of
+// BenchmarkCampaignBatched: the W ablation EXPERIMENTS.md tracks.
 func BenchmarkCampaignWide(b *testing.B) {
 	c := experiments.PrepareAVR()
 	run := c.NewRun(c.FibProg)
@@ -221,19 +218,9 @@ func BenchmarkCampaignWide(b *testing.B) {
 	set := core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set
 	ctl := hafi.NewController(run, golden)
 	points := hafi.SampledFaultList(c.NL, golden.HaltCycle, 500)
-	for _, bc := range []struct {
-		name  string
-		lanes int
-		dense bool
-	}{
-		{"lanes=64/delta", 64, false},
-		{"lanes=128/delta", 128, false},
-		{"lanes=256/delta", 256, false},
-		{"lanes=64/dense", 64, true},
-		{"lanes=256/dense", 256, true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			runw, err := c.NewRunW(c.FibProg, bc.lanes)
+	for _, lanes := range []int{64, 128, 256} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			runw, err := c.NewRunW(c.FibProg, lanes)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,9 +228,8 @@ func BenchmarkCampaignWide(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := ctl.RunCampaignBatchedW(hafi.CampaignConfig{
-					Points:       points,
-					MATESet:      set,
-					DisableDelta: bc.dense,
+					Points:  points,
+					MATESet: set,
 				}, runw)
 				if err != nil {
 					b.Fatal(err)

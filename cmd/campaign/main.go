@@ -56,7 +56,6 @@ func main() {
 	lanes := flag.Int("lanes", hafi.DefaultCampaignLanes, "lanes per batched device instance (positive multiple of 64)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shard the campaign over this many device instances (>= 1)")
 	noEarlyExit := flag.Bool("no-early-exit", false, "disable the golden-state convergence early-exit (every experiment runs to halt or timeout)")
-	noDelta := flag.Bool("no-delta", false, "disable the sparse cone-delta evaluator (batches always run dense dispatch)")
 	strict := flag.Bool("strict", false, "preflight lint: treat warnings as failures")
 	journalPath := flag.String("journal", "", "durably log every classified point to this file")
 	resume := flag.Bool("resume", false, "resume from the -journal file: replay classified points, run only the rest")
@@ -196,7 +195,6 @@ func main() {
 		MATESet:          set,
 		ValidateSkipped:  *validate,
 		DisableEarlyExit: *noEarlyExit,
-		DisableDelta:     *noDelta,
 		Context:          ctx,
 		Journal:          jw,
 		Resume:           recovered,

@@ -213,6 +213,15 @@ func (s *SystemW) LoadScalarState(ffs, inputs []bool, dmem [1 << DMemBits]uint16
 	}
 }
 
+// LoadScalarStateLane is LoadScalarState restricted to one lane: every
+// other lane and the active width stay as they are. Core.Halted is a
+// register, so the lane's halted bit is current without a settle.
+func (s *SystemW) LoadScalarStateLane(l int, ffs, inputs []bool, dmem *[1 << DMemBits]uint16, digest uint64) {
+	s.M.LoadStateLane(l, ffs, inputs)
+	s.DMem[l] = *dmem
+	s.WriteDigest[l] = digest
+}
+
 // PortLane reads the output port register of one lane.
 func (s *SystemW) PortLane(l int) uint16 { return uint16(s.M.ReadBusLane(s.Core.Port, l)) }
 

@@ -433,8 +433,8 @@ type CampaignRow struct {
 // every skipped point. The context cancels both the MATE search and the
 // campaign gracefully (the row then carries a partial, Interrupted
 // result). The campaign runs on the pooled wide engine (256 lanes per
-// device, cone-delta evaluation) with one worker per available CPU; the
-// result is identical to the single-instance engine's.
+// device) with one worker per available CPU; the result is identical to
+// the single-instance engine's.
 func Campaign(ctx context.Context, c *CPUCase, workload string, stride int, params core.SearchParams, validate bool) (*CampaignRow, error) {
 	prog := c.FibProg
 	if workload == "conv" {

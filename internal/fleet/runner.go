@@ -66,8 +66,8 @@ type CampaignRunner struct {
 	// RunsW when that is non-nil; kept for callers (and tests) that build
 	// classic 64-lane devices.
 	Runs []hafi.Run64
-	// RunsW is the wide device pool (e.g. 256-lane cone-delta devices),
-	// preferred over Runs when non-nil.
+	// RunsW is the wide device pool (e.g. 256-lane devices), preferred over
+	// Runs when non-nil.
 	RunsW []hafi.RunW
 	// Model is the fault model the fault list was enumerated under, in
 	// -fault-model syntax (empty = "seu").

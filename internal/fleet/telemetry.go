@@ -23,9 +23,10 @@ type Telemetry struct {
 	Converged   int64 `json:"converged"`
 	CyclesSaved int64 `json:"cycles_saved"`
 	Batches     int64 `json:"batches"`
-	// LaneSum is the cumulative sum of per-batch lane occupancy (the
-	// campaign_batch_lanes histogram sum); LaneSum/(64·Batches) is the
-	// worker's mean lane occupancy.
+	// Batches counts finished device sweeps. LaneSum is the cumulative sum
+	// of their mean busy-lane counts (the campaign_batch_lanes histogram
+	// sum); LaneSum/(64·Batches) is the worker's mean lane occupancy in
+	// units of one 64-lane group.
 	LaneSum float64 `json:"lane_sum"`
 	// Outcomes is the cumulative executed-outcome histogram, keyed by
 	// outcome name (benign, sdc, hang, harness-error).

@@ -247,21 +247,10 @@ type CampaignConfig struct {
 	// identical either way; this is an escape hatch for differential
 	// testing and debugging.
 	DisableEarlyExit bool
-	// DisableDelta forces the batched engines onto dense gate dispatch even
-	// when the device supports the cone-delta evaluator. Classification is
-	// identical either way; like DisableEarlyExit this is an escape hatch
-	// for differential testing, debugging and perf ablations.
-	DisableDelta bool
-	// DeltaFallbackPercent overrides the frontier-occupancy threshold at
-	// which a cone-delta batch falls back to dense dispatch, as a percent
-	// of the dense per-cycle gate-evaluation cost. Zero selects the
-	// measured default (DefaultDeltaFallbackPercent); 100 disables the
-	// occupancy fallback (the engine still leaves delta mode when the
-	// golden trace ends).
-	DeltaFallbackPercent int
 	// Context, when non-nil, cancels the campaign gracefully: in-flight
-	// experiments (and the current 64-lane batch) finish and are recorded,
-	// no new ones start, and the partial result carries Interrupted=true.
+	// experiments (on a batched device: every lane carrying one) finish and
+	// are recorded, no new ones start, and the partial result carries
+	// Interrupted=true.
 	Context context.Context
 	// Journal, when non-nil, receives one durable record per classified
 	// point (concurrent-safe; shared by all worker shards). A journal
@@ -320,6 +309,10 @@ type CampaignResult struct {
 	// CyclesSaved sums the simulation cycles skipped by those early exits
 	// (golden halt cycle minus convergence cycle, per converged experiment).
 	CyclesSaved int64
+
+	// reorderHighWater is the most results the batched engine's emitter ever
+	// held back waiting for an earlier plan position (tests bound it).
+	reorderHighWater int
 }
 
 func newCampaignResult() *CampaignResult {
@@ -504,7 +497,7 @@ func pointRecord(idx uint64, p FaultPoint) journal.Record {
 }
 
 // prepareCampaign validates the configuration (shared by the sequential
-// and the 64-lane batched engine) and computes the experiment timeout:
+// and the batched engine) and computes the experiment timeout:
 // TimeoutFactor × golden halt cycle, but always at least one cycle past
 // the golden halt so a fault-free experiment can never be misclassified
 // as a hang.

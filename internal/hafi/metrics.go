@@ -29,8 +29,6 @@ type campaignMetrics struct {
 	laneWidth    *obs.Gauge     // campaign_lanes
 	converged    *obs.Counter   // campaign_converged_total
 	cyclesSaved  *obs.Counter   // campaign_cycles_saved_total
-	deltaSkip    *obs.Counter   // sim_delta_gates_skipped_total
-	deltaFall    *obs.Counter   // sim_frontier_fallback_total
 	// reg backs the labeled per-MATE attribution counters, which cannot be
 	// hoisted statically (one counter per MATE). mateCounters caches the
 	// registry lookup per MATE index: crediting a pruned point is a hot
@@ -61,8 +59,6 @@ func newCampaignMetrics(reg *obs.Registry, totalPoints int) *campaignMetrics {
 		laneWidth:    reg.Gauge("campaign_lanes"),
 		converged:    reg.Counter("campaign_converged_total"),
 		cyclesSaved:  reg.Counter("campaign_cycles_saved_total"),
-		deltaSkip:    reg.Counter("sim_delta_gates_skipped_total"),
-		deltaFall:    reg.Counter("sim_frontier_fallback_total"),
 		reg:          reg,
 		mateCounters: map[int]*obs.Counter{},
 	}
@@ -127,7 +123,8 @@ func (m *campaignMetrics) replay() {
 	m.replayed.Inc()
 }
 
-// batch accounts one executed 64-lane batch and its lane occupancy.
+// batch accounts one finished sweep of a device and the mean number of its
+// lanes that carried an experiment.
 func (m *campaignMetrics) batch(lanesUsed int) {
 	if m == nil {
 		return
@@ -136,17 +133,17 @@ func (m *campaignMetrics) batch(lanesUsed int) {
 	m.lanes.Observe(float64(lanesUsed))
 }
 
-// batchDone accounts one batch's wall-clock and the estimated
-// per-experiment latency (batch wall-clock amortized over its lanes) —
-// the histograms behind campaignreport's latency percentiles. Two
-// Observe calls per ~64-experiment batch, so the hot-path budget holds.
-func (m *campaignMetrics) batchDone(d time.Duration, lanesUsed int) {
-	if m == nil || lanesUsed <= 0 {
+// batchDone accounts one sweep's wall-clock and the estimated
+// per-experiment latency (sweep wall-clock amortized over the points it
+// injected) — the histograms behind campaignreport's latency percentiles.
+// Two Observe calls per sweep, so the hot-path budget holds.
+func (m *campaignMetrics) batchDone(d time.Duration, points int) {
+	if m == nil || points <= 0 {
 		return
 	}
 	secs := d.Seconds()
 	m.batchSecs.Observe(secs)
-	m.expSecs.Observe(secs / float64(lanesUsed))
+	m.expSecs.Observe(secs / float64(points))
 }
 
 // setWorkers records the shard count of a parallel campaign.
@@ -171,22 +168,4 @@ func (m *campaignMetrics) setLanes(n int) {
 		return
 	}
 	m.laneWidth.Set(int64(n))
-}
-
-// deltaSkipped accounts gate evaluations the cone-delta engine avoided
-// relative to dense stepping (accumulated per batch, not per cycle).
-func (m *campaignMetrics) deltaSkipped(n uint64) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.deltaSkip.Add(int64(n))
-}
-
-// frontierFallback accounts one mid-batch switch from cone-delta to dense
-// dispatch (frontier occupancy over threshold or golden trace exhausted).
-func (m *campaignMetrics) frontierFallback() {
-	if m == nil {
-		return
-	}
-	m.deltaFall.Inc()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -137,7 +138,7 @@ func runInterrupted(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run
 // than the uninterrupted baseline while classifying identically.
 func dropConvergence(r *CampaignResult) *CampaignResult {
 	cp := *r
-	cp.Converged, cp.CyclesSaved = 0, 0
+	cp.Converged, cp.CyclesSaved, cp.reorderHighWater = 0, 0, 0
 	return &cp
 }
 
@@ -362,27 +363,41 @@ func uniqueCyclePoints(g *Golden, n, ffs int) []FaultPoint {
 // per-point records (the ground truth for comparing verdicts).
 func journalByIndex(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64) (map[uint64]journal.Record, *CampaignResult) {
 	t.Helper()
+	_, recs, res := journalOf(t, ctl, cfg, func(cfg CampaignConfig) (*CampaignResult, error) {
+		if run64 != nil {
+			return ctl.RunCampaignBatched(cfg, run64)
+		}
+		return ctl.RunCampaign(cfg)
+	})
+	return recs, res
+}
+
+// journalOf runs exec against a fresh journal and returns the journal's
+// bytes, its records by fault-list index and the campaign result.
+func journalOf(t *testing.T, ctl *Controller, cfg CampaignConfig, exec func(CampaignConfig) (*CampaignResult, error)) ([]byte, map[uint64]journal.Record, *CampaignResult) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "verdicts.journal")
 	jw, err := journal.Create(path, ctl.JournalHeader(cfg.Points))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Journal = jw
-	var res *CampaignResult
-	if run64 != nil {
-		res, err = ctl.RunCampaignBatched(cfg, run64)
-	} else {
-		res, err = ctl.RunCampaign(cfg)
-	}
+	res, err := exec(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jw.Close()
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec, err := journal.Recover(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec.ByIndex, res
+	return raw, rec.ByIndex, res
 }
 
 func TestPanicIsolationSequential(t *testing.T) {

@@ -33,9 +33,11 @@ type Run64 interface {
 	Mach() *sim.Machine64
 }
 
-// RunW is a wide batched device instance: 64·W fault-injection experiments
-// that share a start checkpoint advance per evaluation pass. Lane-group
-// methods take g < Lanes()/64 and cover lanes 64g..64g+63.
+// RunW is a wide batched device instance: 64·W independent fault-injection
+// experiments advance per evaluation pass. The lanes need not share a start
+// checkpoint or a cycle: the campaign scheduler hands a lane its next point
+// while its neighbours are mid-experiment. Lane-group methods take
+// g < Lanes()/64 and cover lanes 64g..64g+63.
 type RunW interface {
 	// Step advances all lanes one clock cycle.
 	Step()
@@ -58,10 +60,12 @@ type RunW interface {
 
 // DeltaRunW is a RunW that can also execute in cone-delta mode: gate
 // evaluation restricted to the wires that differ from the recorded golden
-// trace. The engine switches a batch into delta mode right after
-// LoadCheckpoint (InitDelta + DeltaState.Reset), drives it with StepDelta,
-// and leaves it via DeltaState.Materialize when frontier occupancy crosses
-// the dense-fallback threshold or the golden trace ends.
+// trace (InitDelta + DeltaState.Reset after LoadCheckpoint, StepDelta per
+// cycle, DeltaState.Materialize to return to dense state). The campaign
+// scheduler does not use it — lanes of one device sit at different cycles,
+// and on every workload the benchmark runs delta mode fell back to dense
+// after one step — but bench/trace.go forwards it, so it stays until the
+// tracer stops naming it.
 type DeltaRunW interface {
 	RunW
 	// InitDelta returns the device's cone-delta evaluator for the given
@@ -76,8 +80,8 @@ type DeltaRunW interface {
 
 // CompactRunW is an optional RunW capability: a device that can pack a
 // subset of its lanes into the low lane indices and shrink its active
-// width, so the batched engine stops paying for lanes whose experiments
-// already finished. src must be strictly increasing; lane l of the
+// width, so a device draining its last experiments stops paying for the
+// lanes that have none. src must be strictly increasing; lane l of the
 // compacted device is lane src[l] of the old one (state, memories and
 // digests move together). The capability is optional because a foreign
 // Run64 adapted via AsRunW runs at width 1 and has nothing to shrink.
@@ -87,13 +91,17 @@ type CompactRunW interface {
 }
 
 // SuspendRunW is an optional RunW capability: a device whose lanes can be
-// exported as opaque single-lane snapshots and re-imported into any lane
-// of a device of the same netlist and program — even one of a different
-// width. The batched engine uses it to suspend straggler lanes (typically
-// hang candidates running out their timeout) from nearly drained batches
-// and finish them together in packed waves, instead of dragging each
-// batch's tail through the simulator one or two live lanes at a time.
-// ImportLane must only target lanes inside the device's active groups.
+// loaded one at a time. ImportLane accepts either an ExportLane snapshot —
+// an opaque single-lane state that may come from a device of the same
+// netlist and program at any width — or a golden Checkpoint, in which case
+// it is LoadCheckpoint restricted to that lane: flip-flops, primary inputs,
+// memory image and write digest of the one lane, every other lane and the
+// active width untouched. The campaign scheduler uses the second form to
+// hand a lane whose experiment ended off the golden run (halted, SDC, hang)
+// its next point; a device without the capability refills only lanes that
+// are back on the golden run. ImportLane must only target lanes inside the
+// device's active groups. ExportLane has no caller in the engine any more;
+// it goes with DeltaRunW.
 type SuspendRunW interface {
 	RunW
 	ExportLane(lane int) interface{}
@@ -145,8 +153,18 @@ func (r *avrRunW) MachW() *sim.MachineW       { return r.sys.M }
 
 func (r *avrRunW) CompactLanes(src []uint16) { r.sys.CompactLanes(src) }
 
-func (r *avrRunW) ExportLane(l int) interface{}        { return r.sys.ExportLane(l) }
-func (r *avrRunW) ImportLane(l int, state interface{}) { r.sys.ImportLane(l, state.(*avr.LaneState)) }
+func (r *avrRunW) ExportLane(l int) interface{} { return r.sys.ExportLane(l) }
+
+func (r *avrRunW) ImportLane(l int, state interface{}) {
+	switch st := state.(type) {
+	case *avr.LaneState:
+		r.sys.ImportLane(l, st)
+	case *avrCheckpoint:
+		r.sys.LoadScalarStateLane(l, st.ffs, st.inputs, &st.dmem, st.digest)
+	default:
+		panic(fmt.Sprintf("hafi: lane state type %T does not match AVR run", state))
+	}
+}
 
 func (r *avrRunW) EnvW() sim.EnvW { return r.sys.Env() }
 
@@ -249,7 +267,14 @@ func (r *msp430RunW) CompactLanes(src []uint16) { r.sys.CompactLanes(src) }
 
 func (r *msp430RunW) ExportLane(l int) interface{} { return r.sys.ExportLane(l) }
 func (r *msp430RunW) ImportLane(l int, state interface{}) {
-	r.sys.ImportLane(l, state.(*msp430.LaneState))
+	switch st := state.(type) {
+	case *msp430.LaneState:
+		r.sys.ImportLane(l, st)
+	case *msp430Checkpoint:
+		r.sys.LoadScalarStateLane(l, st.ffs, st.inputs, &st.dmem, st.digest)
+	default:
+		panic(fmt.Sprintf("hafi: lane state type %T does not match MSP430 run", state))
+	}
 }
 
 func (r *msp430RunW) EnvW() sim.EnvW { return r.sys.Env() }

@@ -104,27 +104,9 @@ func (d *Document) WriteText(w io.Writer) error {
 			}
 			fmt.Fprintln(w)
 		}
-		// Wide-engine telemetry: lane width plus the cone-delta evaluator's
-		// work accounting. Older dumps (pre-wide engines, 64-lane journals)
-		// carry none of these keys and print nothing.
-		lanes, hasLanes := st.Gauges["campaign_lanes"]
-		skipped, hasSkipped := st.Counters["sim_delta_gates_skipped_total"]
-		fallbacks, hasFallback := st.Counters["sim_frontier_fallback_total"]
-		if (hasLanes && lanes > 0) || hasSkipped || hasFallback {
-			fmt.Fprintf(w, "simulation:")
-			sep := " "
-			if hasLanes && lanes > 0 {
-				fmt.Fprintf(w, "%s%d lanes", sep, lanes)
-				sep = ", "
-			}
-			if hasSkipped {
-				fmt.Fprintf(w, "%s%d gate evaluations skipped by cone-delta", sep, skipped)
-				sep = ", "
-			}
-			if hasFallback {
-				fmt.Fprintf(w, "%s%d dense-dispatch fallbacks", sep, fallbacks)
-			}
-			fmt.Fprintln(w)
+		// Older dumps (pre-wide engines) carry no lane gauge and print nothing.
+		if lanes := st.Gauges["campaign_lanes"]; lanes > 0 {
+			fmt.Fprintf(w, "simulation: %d lanes\n", lanes)
 		}
 		// Per-experiment and per-batch latency percentiles, bucket-estimated
 		// by the exporter from the engine's duration histograms.

@@ -217,8 +217,8 @@ func TestLookupBusClusterLimit(t *testing.T) {
 	}
 }
 
-// TestLookupBusImportedWave: a straggler wave is built by ImportLane into
-// a Reset machine and then compacted; the imported lanes carry their own
+// TestLookupBusImportedWave: lanes migrate by ImportLane into a Reset
+// machine, which is then compacted; the imported lanes carry their own
 // addresses, the rest the reset state.
 func TestLookupBusImportedWave(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

@@ -265,6 +265,38 @@ func (m *MachineW) ImportLane(lane int, src []uint64) {
 	}
 }
 
+// LoadStateLane is LoadState plus LoadInputs restricted to one lane: the
+// lane's flip-flops and primary inputs take the scalar snapshot, every other
+// lane and the active width stay as they are. The campaign scheduler uses it
+// to hand a lane whose experiment ended off the golden run the golden
+// checkpoint of the cycle its device has reached. The lane must lie inside
+// the active groups; a lane CompactLanes left dead carries an experiment
+// again afterwards.
+func (m *MachineW) LoadStateLane(lane int, ffs, inputs []bool) {
+	if lane < 0 || lane >= m.ActiveLanes() {
+		panic("sim: LoadStateLane lane outside the active groups")
+	}
+	if lane >= m.live {
+		m.live = lane + 1
+	}
+	g := lane >> 6
+	bit := uint64(1) << (uint(lane) & 63)
+	for i, v := range ffs {
+		m.setLaneBit(int(m.ffQs[i])+g, bit, v)
+	}
+	for i, w := range m.NL.Inputs {
+		m.setLaneBit(int(w)*m.W+g, bit, inputs[i])
+	}
+}
+
+func (m *MachineW) setLaneBit(i int, bit uint64, v bool) {
+	if v {
+		m.values[i] |= bit
+	} else {
+		m.values[i] &^= bit
+	}
+}
+
 // FFStateLane snapshots one lane's stored flip-flop state in the scalar
 // Machine.FFState format (index i = flip-flop i).
 func (m *MachineW) FFStateLane(lane int) []bool {
