@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBDDEval -fuzztime 10s ./internal/exact
 	$(GO) test -run '^$$' -fuzz FuzzGatherScatterW -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzLookupBus -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzLaneRAM -fuzztime 10s ./internal/sim
 
 # Coverage over the library packages (the cmd/ mains are exercised by the
 # smoke scripts, not unit tests).

@@ -33,8 +33,6 @@ import (
 
 	"repro/internal/collapse"
 	"repro/internal/core"
-	"repro/internal/cpu/avr"
-	"repro/internal/cpu/msp430"
 	"repro/internal/exact"
 	"repro/internal/experiments"
 	"repro/internal/hafi"
@@ -502,18 +500,16 @@ type stepLayerDevice interface {
 
 // benchStepLayer runs f on both cores with a 256-lane device in the state
 // of a full batch right after injection — golden checkpoint at half the
-// run, flip-flop l mod #FF flipped in lane l — compacted to ag groups.
-// pcBus is the core's instruction address bus.
-func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerDevice, pcBus []netlist.WireID, ag int)) {
+// run, flip-flop l mod #FF flipped in lane l — compacted to ag groups. mem
+// is the device's memory environment: its ports, ROM and RAM.
+func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int)) {
 	avrCase, mspCase := experiments.PrepareAVR(), experiments.PrepareMSP430()
 	for _, cpu := range []struct {
-		c     *experiments.CPUCase
-		prog  []uint16
-		pcBus []netlist.WireID
+		c    *experiments.CPUCase
+		prog []uint16
 	}{
-		// Core synthesis is deterministic: a fresh core has the device's wire ids.
-		{avrCase, avrCase.FibProg, avr.NewCore().IMemAddr},
-		{mspCase, mspCase.ConvProg, msp430.NewCore().IMemAddr},
+		{avrCase, avrCase.FibProg},
+		{mspCase, mspCase.ConvProg},
 	} {
 		c, prog := cpu.c, cpu.prog
 		golden, err := hafi.RecordGolden(c.NewRun(prog), 1<<20)
@@ -538,7 +534,7 @@ func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerD
 					}
 					dev.CompactLanes(src)
 				}
-				f(b, dev, cpu.pcBus, ag)
+				f(b, dev, dev.EnvW().(*sim.LaneMemory), ag)
 			})
 		}
 	}
@@ -547,7 +543,7 @@ func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerD
 // BenchmarkEvalComb measures one dense combinational pass (the resolved
 // kernels at 2-4 groups, the index kernel at one).
 func BenchmarkEvalComb(b *testing.B) {
-	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ []netlist.WireID, ag int) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ *sim.LaneMemory, ag int) {
 		m := dev.MachW()
 		b.ResetTimer()
 		for i := 0; i < b.N*stepLayerCalls; i++ {
@@ -560,7 +556,7 @@ func BenchmarkEvalComb(b *testing.B) {
 
 // BenchmarkCommitFFs measures one flip-flop commit.
 func BenchmarkCommitFFs(b *testing.B) {
-	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ []netlist.WireID, _ int) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ *sim.LaneMemory, _ int) {
 		m := dev.MachW()
 		b.ResetTimer()
 		for i := 0; i < b.N*stepLayerCalls; i++ {
@@ -570,25 +566,70 @@ func BenchmarkCommitFFs(b *testing.B) {
 }
 
 // BenchmarkFetch measures one memory-environment call at four groups with
-// the lanes spread round-robin over a given number of PCs: one cluster is
-// the fault-free device, 13 the median of a campaign cycle, 64 is past the
-// limit where the fetch leaves the plane domain for the transposes. The
-// data-memory half of the call does not depend on the count.
+// the lanes spread round-robin over a given number of PCs, all of them
+// below the power of two that covers the ROM (18 words on the AVR, 41 on
+// the MSP430): one cluster is the fault-free device, 13 the median of a
+// campaign cycle, 32 is past the limit where the fetch leaves the plane
+// domain for the transposes. tails=19 sends 19 lanes beyond the ROM, each
+// to a PC of its own — the hung lanes a campaign device carries, which
+// must not cost a cluster each. The data-memory half of the call does not
+// depend on either count.
 func BenchmarkFetch(b *testing.B) {
-	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, pcBus []netlist.WireID, _ int) {
-		m, env := dev.MachW(), dev.EnvW()
+	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, _ int) {
+		m := dev.MachW()
 		m.EvalComb()
 		pcs := make([]uint16, dev.Lanes())
-		for _, clusters := range []int{1, 13, 64} {
-			b.Run(benchName("clusters", clusters), func(b *testing.B) {
+		for _, c := range []struct{ clusters, tails int }{{1, 0}, {13, 0}, {13, 19}, {32, 0}} {
+			name := benchName("clusters", c.clusters)
+			if c.tails > 0 {
+				name += "/" + benchName("tails", c.tails)
+			}
+			b.Run(name, func(b *testing.B) {
 				for l := range pcs {
-					pcs[l] = uint16(3 * (l % clusters))
+					pcs[l] = uint16(l % c.clusters)
+					if l%13 == 5 && l/13 < c.tails {
+						pcs[l] = uint16(1<<(len(mem.FetchAddr)-1) + 37*l)
+					}
 				}
-				m.ScatterLanes(pcBus, pcs)
+				m.ScatterLanes(mem.FetchAddr, pcs)
 				for i := 0; i < b.N*stepLayerCalls; i++ {
-					env.SetInputsW(m)
+					mem.SetInputsW(m)
 				}
 			})
+		}
+	})
+}
+
+// BenchmarkDataMem measures the data-memory half of the environment call
+// (MachineW.AccessRAM) at four groups with the lanes spread round-robin
+// over a given number of addresses — a campaign cycle has a median of 1 to
+// 9 and at most 32, 256 is every lane on its own — and no, eight or all
+// lanes storing (each address cluster one value): the cost curve of the
+// cluster loop, which has no dense fallback.
+func BenchmarkDataMem(b *testing.B) {
+	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int) {
+		m := dev.MachW()
+		m.EvalComb()
+		vals := make([]uint16, dev.Lanes())
+		for _, clusters := range []int{1, 4, 16, 64, 256} {
+			for l := range vals {
+				vals[l] = uint16(l % clusters)
+			}
+			m.ScatterLanes(mem.Addr, vals)
+			m.ScatterLanes(mem.WData, vals)
+			for _, w := range []struct {
+				name string
+				we   uint64 // per lane group
+			}{{"0", 0}, {"few", 1<<13 | 1<<47}, {"all", ^uint64(0)}} {
+				b.Run(benchName("clusters", clusters)+"/writers="+w.name, func(b *testing.B) {
+					for g := 0; g < ag; g++ {
+						m.SetLaneWord(mem.WE, g, w.we)
+					}
+					for i := 0; i < b.N*stepLayerCalls; i++ {
+						m.AccessRAM(mem.RAM, mem.Addr, mem.WE, mem.WData, mem.RData, mem.Digest)
+					}
+				})
+			}
 		}
 	})
 }

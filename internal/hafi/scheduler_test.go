@@ -312,8 +312,9 @@ func TestPlanCursorRace(t *testing.T) {
 // TestImportLaneCheckpoint: ImportLane of a golden checkpoint is
 // LoadCheckpoint restricted to that lane — flip-flops, inputs, memory
 // image, digest and halted bit of the lane are the broadcast load's, every
-// other lane is bit-identical to before — and is rejected outside the
-// active groups.
+// other lane is bit-identical to before. Both forms of ImportLane, checkpoint
+// and ExportLane snapshot, are rejected outside the active groups and revive
+// a lane CompactLanes left dead.
 func TestImportLaneCheckpoint(t *testing.T) {
 	type target struct {
 		name   string
@@ -347,14 +348,14 @@ func TestImportLaneCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			return r
-		}, ffOf(aq, int(ac.Halted)), func(r RunW, lane int) interface{} { return r.(*avrRunW).sys.DMem[lane] }},
+		}, ffOf(aq, int(ac.Halted)), func(r RunW, lane int) interface{} { return r.(*avrRunW).sys.DMemLane(lane) }},
 		{"msp430", NewMSP430Run(mc, mprog), func() RunW {
 			r, err := NewMSP430RunW(msp430.NewCore(), mprog, 256)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return r
-		}, ffOf(mq, int(mc.Halted)), func(r RunW, lane int) interface{} { return r.(*msp430RunW).sys.DMem[lane] }},
+		}, ffOf(mq, int(mc.Halted)), func(r RunW, lane int) interface{} { return r.(*msp430RunW).sys.DMemLane(lane) }},
 	}
 	for _, tg := range targets {
 		t.Run(tg.name, func(t *testing.T) {
@@ -442,16 +443,45 @@ func TestImportLaneCheckpoint(t *testing.T) {
 				}
 			}
 
+			// The scheduler reads a signature per halted lane and loads a lane
+			// per point: neither may cost a heap image (alloc_mb).
+			if n := testing.AllocsPerRun(10, func() { sr.ImportLane(63, late); dev.SignatureLane(63) }); n != 0 {
+				t.Errorf("ImportLane + SignatureLane allocate %v times per call", n)
+			}
+
 			dev.(CompactRunW).CompactLanes([]uint16{1, 2, 3, 5, 8, 13, 21, 34, 55, 89})
 			sr.ImportLane(5, late)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("ImportLane outside the active groups was accepted")
-					}
+			donor := tg.wide()
+			donor.LoadCheckpoint(early)
+			snapshot := donor.(SuspendRunW).ExportLane(77)
+			for _, state := range []interface{}{late, snapshot} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("ImportLane of a %T outside the active groups was accepted", state)
+						}
+					}()
+					sr.ImportLane(64, state)
 				}()
-				sr.ImportLane(64, late)
-			}()
+			}
+
+			// A lane the compaction left dead carries an experiment again once
+			// a snapshot is imported into it: the memory environment serves it
+			// and it follows the scalar golden run cycle for cycle.
+			dead := dev.MachW().LiveLanes()
+			sr.ImportLane(dead, snapshot)
+			if got := dev.MachW().LiveLanes(); got != dead+1 {
+				t.Fatalf("%d live lanes after an import into dead lane %d", got, dead)
+			}
+			for cyc := 40; cyc < g.HaltCycle; cyc++ {
+				if ff := dev.MachW().FirstDivergedFF(dead, g.Trace.Row(cyc)); ff >= 0 || dev.MemDigestLane(dead) != g.MemDigests[cyc] {
+					t.Fatalf("cycle %d: revived lane %d left the golden run (flip-flop %d)", cyc, dead, ff)
+				}
+				dev.Step()
+			}
+			if dev.SignatureLane(dead) != g.Signature {
+				t.Errorf("revived lane %d did not finish the golden run", dead)
+			}
 		})
 	}
 }

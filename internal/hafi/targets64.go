@@ -145,10 +145,10 @@ func newAVRRunW(core *avr.Core, prog []uint16, lanes int) (*avrRunW, error) {
 }
 
 func (r *avrRunW) Step()                      { r.sys.Step() }
-func (r *avrRunW) Lanes() int                 { return r.sys.Lanes() }
+func (r *avrRunW) Lanes() int                 { return r.sys.M.NumLanes() }
 func (r *avrRunW) HaltedMaskG(g int) uint64   { return r.sys.HaltedMaskG(g) }
 func (r *avrRunW) FlipLane(ff, l int)         { r.sys.M.FlipLane(ff, l) }
-func (r *avrRunW) MemDigestLane(l int) uint64 { return r.sys.WriteDigest[l] }
+func (r *avrRunW) MemDigestLane(l int) uint64 { return r.sys.Mem.Digest[l] }
 func (r *avrRunW) MachW() *sim.MachineW       { return r.sys.M }
 
 func (r *avrRunW) CompactLanes(src []uint16) { r.sys.CompactLanes(src) }
@@ -166,14 +166,14 @@ func (r *avrRunW) ImportLane(l int, state interface{}) {
 	}
 }
 
-func (r *avrRunW) EnvW() sim.EnvW { return r.sys.Env() }
+func (r *avrRunW) EnvW() sim.EnvW { return r.sys.Mem }
 
 func (r *avrRunW) CheckpointLane(l int) Checkpoint {
 	return &avrCheckpoint{
 		ffs:    r.sys.M.FFStateLane(l),
 		inputs: r.sys.M.InputStateLane(l),
-		dmem:   r.sys.DMem[l],
-		digest: r.sys.WriteDigest[l],
+		dmem:   r.sys.DMemLane(l),
+		digest: r.sys.Mem.Digest[l],
 		cycle:  r.sys.M.Cycle,
 	}
 }
@@ -183,12 +183,13 @@ func (r *avrRunW) LoadCheckpoint(cp Checkpoint) {
 	if !ok {
 		panic(fmt.Sprintf("hafi: checkpoint type %T does not match AVR run", cp))
 	}
-	r.sys.LoadScalarState(c.ffs, c.inputs, c.dmem, c.digest)
+	r.sys.LoadScalarState(c.ffs, c.inputs, &c.dmem, c.digest)
 	r.sys.M.Cycle = c.cycle
 }
 
 func (r *avrRunW) SignatureLane(l int) uint64 {
-	return SignatureHash([]byte{r.sys.PortLane(l)}, r.sys.DMem[l][:])
+	dmem := r.sys.DMemLane(l)
+	return SignatureHash([]byte{r.sys.PortLane(l)}, dmem[:])
 }
 
 func (r *avrRunW) InitDelta(tr *sim.Trace) *sim.DeltaState {
@@ -257,10 +258,10 @@ func newMSP430RunW(core *msp430.Core, prog []uint16, lanes int) (*msp430RunW, er
 }
 
 func (r *msp430RunW) Step()                      { r.sys.Step() }
-func (r *msp430RunW) Lanes() int                 { return r.sys.Lanes() }
+func (r *msp430RunW) Lanes() int                 { return r.sys.M.NumLanes() }
 func (r *msp430RunW) HaltedMaskG(g int) uint64   { return r.sys.HaltedMaskG(g) }
 func (r *msp430RunW) FlipLane(ff, l int)         { r.sys.M.FlipLane(ff, l) }
-func (r *msp430RunW) MemDigestLane(l int) uint64 { return r.sys.WriteDigest[l] }
+func (r *msp430RunW) MemDigestLane(l int) uint64 { return r.sys.Mem.Digest[l] }
 func (r *msp430RunW) MachW() *sim.MachineW       { return r.sys.M }
 
 func (r *msp430RunW) CompactLanes(src []uint16) { r.sys.CompactLanes(src) }
@@ -277,14 +278,14 @@ func (r *msp430RunW) ImportLane(l int, state interface{}) {
 	}
 }
 
-func (r *msp430RunW) EnvW() sim.EnvW { return r.sys.Env() }
+func (r *msp430RunW) EnvW() sim.EnvW { return r.sys.Mem }
 
 func (r *msp430RunW) CheckpointLane(l int) Checkpoint {
 	return &msp430Checkpoint{
 		ffs:    r.sys.M.FFStateLane(l),
 		inputs: r.sys.M.InputStateLane(l),
-		dmem:   r.sys.DMem[l],
-		digest: r.sys.WriteDigest[l],
+		dmem:   r.sys.DMemLane(l),
+		digest: r.sys.Mem.Digest[l],
 		cycle:  r.sys.M.Cycle,
 	}
 }
@@ -294,12 +295,13 @@ func (r *msp430RunW) LoadCheckpoint(cp Checkpoint) {
 	if !ok {
 		panic(fmt.Sprintf("hafi: checkpoint type %T does not match MSP430 run", cp))
 	}
-	r.sys.LoadScalarState(c.ffs, c.inputs, c.dmem, c.digest)
+	r.sys.LoadScalarState(c.ffs, c.inputs, &c.dmem, c.digest)
 	r.sys.M.Cycle = c.cycle
 }
 
 func (r *msp430RunW) SignatureLane(l int) uint64 {
-	return signatureWords16(r.sys.PortLane(l), r.sys.DMem[l][:])
+	dmem := r.sys.DMemLane(l)
+	return signatureWords16(r.sys.PortLane(l), dmem[:])
 }
 
 func (r *msp430RunW) InitDelta(tr *sim.Trace) *sim.DeltaState {

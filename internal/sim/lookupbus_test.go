@@ -117,19 +117,35 @@ func randomROM(rng *rand.Rand, n int) []uint16 {
 	return rom
 }
 
-// distinctAddrs returns n different addresses, about a third beyond a ROM
-// of romLen words.
-func distinctAddrs(rng *rand.Rand, n, romLen int) []uint16 {
+// distinctAddrs returns n different addresses in [lo, hi).
+func distinctAddrs(rng *rand.Rand, n, lo, hi int) []uint16 {
 	seen := map[uint16]bool{}
 	var pool []uint16
 	for len(pool) < n {
-		a := uint16(rng.Intn(romLen * 3 / 2))
+		a := uint16(lo + rng.Intn(hi-lo))
 		if !seen[a] {
 			seen[a] = true
 			pool = append(pool, a)
 		}
 	}
 	return pool
+}
+
+// romClusters is the number of clusters LookupBus has to form: the distinct
+// addresses among the live lanes below the power of two that covers the
+// ROM. Lanes beyond it are served without one.
+func romClusters(m *MachineW, src []netlist.WireID, rom []uint16) int {
+	span := 1
+	for span < len(rom) {
+		span <<= 1
+	}
+	present := map[uint64]bool{}
+	for l := 0; l < m.LiveLanes(); l++ {
+		if a := m.ReadBusLane(src, l); a < uint64(span) {
+			present[a] = true
+		}
+	}
+	return len(present)
 }
 
 // TestLookupBusMatchesDense: every group count, live counts that are not
@@ -146,7 +162,7 @@ func TestLookupBusMatchesDense(t *testing.T) {
 					if live < 64*w {
 						m.CompactLanes(firstLanes(live))
 					}
-					pool := distinctAddrs(rng, k, len(rom))
+					pool := distinctAddrs(rng, k, 0, len(rom)*3/2)
 					scatterClusters(m, src, dst, rng, pool, func(int) int { return rng.Intn(k) })
 					// Dead lanes of the last group hold addresses of their own:
 					// they must not be counted as clusters.
@@ -167,7 +183,8 @@ func TestLookupBusMatchesDense(t *testing.T) {
 	}
 }
 
-// TestLookupBusClusterLimit: exactly the limit is served, one more falls
+// TestLookupBusClusterLimit: exactly the limit of in-ROM clusters is served,
+// whatever runs beyond the ROM; one more falls
 // back — leaving the dense path a clean slate — and the following
 // lookupBackoff calls decline without probing, even a one-cluster bus,
 // until Reset, LoadState or CompactLanes bring in a new lane population.
@@ -175,10 +192,22 @@ func TestLookupBusClusterLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rom := randomROM(rng, 512)
 	m, src, dst := busMachine(t, 4, 16, 16)
-	pool := distinctAddrs(rng, lookupClusterLimit+1, len(rom))
+	pool := distinctAddrs(rng, lookupClusterLimit+1, 0, len(rom))
 	roundRobin := func(k int) func(int) int { return func(l int) int { return l % k } }
 
-	scatterClusters(m, src, dst, rng, pool, roundRobin(lookupClusterLimit))
+	// Odd lanes have run away, each to an address of its own beyond the
+	// ROM; the even ones sit on exactly the limit of addresses inside it.
+	tails := distinctAddrs(rng, m.NumLanes()/2, len(rom), 1<<16)
+	mixed := append(append([]uint16{}, pool[:lookupClusterLimit]...), tails...)
+	scatterClusters(m, src, dst, rng, mixed, func(l int) int {
+		if l%2 == 1 {
+			return lookupClusterLimit + l/2
+		}
+		return l / 2 % lookupClusterLimit
+	})
+	if got := romClusters(m, src, rom); got != lookupClusterLimit {
+		t.Fatalf("fixture has %d in-ROM clusters, want %d", got, lookupClusterLimit)
+	}
 	if !checkLookup(t, m, src, dst, rom) {
 		t.Fatalf("%d clusters declined", lookupClusterLimit)
 	}
@@ -217,6 +246,45 @@ func TestLookupBusClusterLimit(t *testing.T) {
 	}
 }
 
+// TestLookupBusROMBounds: lanes beyond the ROM never form a cluster — a
+// whole device of them, each at its own address, is served — but the
+// addresses between a ROM that is no power of two and the next one do,
+// reading 0; a ROM of one word or none serves anything.
+func TestLookupBusROMBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m, src, dst := busMachine(t, 4, 16, 16)
+	perLane := func(l int) int { return l }
+
+	rom := randomROM(rng, 300)
+	scatterClusters(m, src, dst, rng, distinctAddrs(rng, m.NumLanes(), 512, 1<<16), perLane)
+	if got := romClusters(m, src, rom); got != 0 {
+		t.Fatalf("fixture has %d in-ROM clusters, want 0", got)
+	}
+	if !checkLookup(t, m, src, dst, rom) {
+		t.Fatal("a device of runaway lanes declined")
+	}
+	gap := distinctAddrs(rng, lookupClusterLimit+1, len(rom), 512)
+	scatterClusters(m, src, dst, rng, gap[:lookupClusterLimit], func(l int) int { return l % lookupClusterLimit })
+	if !checkLookup(t, m, src, dst, rom) {
+		t.Fatalf("%d clusters between the ROM and its power of two declined", lookupClusterLimit)
+	}
+	scatterClusters(m, src, dst, rng, gap, func(l int) int { return l % len(gap) })
+	if checkLookup(t, m, src, dst, rom) {
+		t.Fatalf("%d clusters between the ROM and its power of two served", len(gap))
+	}
+
+	for n := 0; n <= 1; n++ {
+		m.Reset()
+		scatterClusters(m, src, dst, rng, distinctAddrs(rng, m.NumLanes(), 0, 1<<16), perLane)
+		for _, wire := range src {
+			m.SetLaneWord(wire, 2, m.LaneWord(wire, 2)&^0xFF00FF) // some lanes at address 0
+		}
+		if !checkLookup(t, m, src, dst, randomROM(rng, n)) {
+			t.Fatalf("ROM of %d words declined", n)
+		}
+	}
+}
+
 // TestLookupBusImportedWave: lanes migrate by ImportLane into a Reset
 // machine, which is then compacted; the imported lanes carry their own
 // addresses, the rest the reset state.
@@ -224,7 +292,7 @@ func TestLookupBusImportedWave(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rom := randomROM(rng, 256)
 	donor, src, dst := busMachine(t, 2, 16, 16)
-	pool := distinctAddrs(rng, 9, len(rom))
+	pool := distinctAddrs(rng, 9, 0, len(rom)*3/2)
 	scatterClusters(donor, src, dst, rng, pool, func(int) int { return rng.Intn(len(pool)) })
 
 	for _, n := range []int{5, 64, 100, 200, 256} {
@@ -245,8 +313,8 @@ func TestLookupBusImportedWave(t *testing.T) {
 }
 
 // FuzzLookupBus fuzzes the clustered lookup against the dense path over
-// width, live-lane count, cluster count (on both sides of the limit), data
-// bus width and plane contents.
+// width, live-lane count, cluster count (on both sides of the limit), ROM
+// length (0, 1 and 2 words included), data bus width and plane contents.
 func FuzzLookupBus(f *testing.F) {
 	f.Add(uint8(3), uint8(172), uint8(13), uint8(15), uint64(0xDEADBEEFCAFEF00D))
 	f.Add(uint8(0), uint8(63), uint8(0), uint8(0), uint64(1))
@@ -258,21 +326,22 @@ func FuzzLookupBus(f *testing.F) {
 		live := int(liveRaw)%(64*w) + 1
 		k := int(clustersRaw)%(2*lookupClusterLimit) + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
-		rom := randomROM(rng, 64+rng.Intn(400))
+		romLen := 64 + rng.Intn(400)
+		if rng.Intn(4) == 0 {
+			romLen = rng.Intn(3)
+		}
+		rom := randomROM(rng, romLen)
 		m, src, dst := busMachine(t, w, 16, int(dataRaw)%16+1)
 		if (live+63)/64 < w || rng.Intn(2) == 0 {
 			m.CompactLanes(firstLanes(live))
 		} else {
 			live = 64 * w
 		}
-		pool := distinctAddrs(rng, k, len(rom))
+		pool := distinctAddrs(rng, k, 0, max(64, len(rom)*3/2))
 		scatterClusters(m, src, dst, rng, pool, func(int) int { return rng.Intn(k) })
-		present := map[uint16]bool{}
-		for l := 0; l < live; l++ {
-			present[uint16(m.ReadBusLane(src, l))] = true
-		}
-		if ok := checkLookup(t, m, src, dst, rom); ok != (len(present) <= lookupClusterLimit) {
-			t.Fatalf("W=%d live=%d: %d distinct addresses, served=%v (limit %d)", w, live, len(present), ok, lookupClusterLimit)
+		clusters := romClusters(m, src, rom)
+		if ok := checkLookup(t, m, src, dst, rom); ok != (clusters <= lookupClusterLimit) {
+			t.Fatalf("W=%d live=%d: %d in-ROM clusters, served=%v (limit %d)", w, live, clusters, ok, lookupClusterLimit)
 		}
 	})
 }

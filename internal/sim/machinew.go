@@ -70,9 +70,10 @@ type MachineW struct {
 	ffNext  []uint64
 	ffPairs []ffPair
 
-	// LookupBus scratch (len W) and its back-off counter.
-	unserved, same []uint64
-	lookupSkip     int
+	// Cluster-loop scratch of LookupBus and AccessRAM (len W each) and
+	// LookupBus's back-off counter.
+	unserved, same, sub []uint64
+	lookupSkip          int
 }
 
 // opR is one gate of the resolved program: the operands of ops[i] as
@@ -113,7 +114,7 @@ func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 	}
 	nv := nl.NumWires() * w
 	m := &MachineW{NL: nl, W: w, values: make([]uint64, nv+4)[:nv], cscratch: make([]uint64, w),
-		unserved: make([]uint64, w), same: make([]uint64, w)}
+		unserved: make([]uint64, w), same: make([]uint64, w), sub: make([]uint64, w)}
 	level := make([]int32, nl.NumWires())
 	for _, gi := range nl.EvalOrder() {
 		g := &nl.Gates[gi]
@@ -247,38 +248,38 @@ func (m *MachineW) ExportLane(lane int, dst []uint64) {
 	}
 }
 
+// reviveLane is the contract of the one-lane loads: the lane lies inside the
+// active groups, and one CompactLanes left dead carries an experiment again
+// afterwards (the memory environment serves lanes below LiveLanes() only).
+func (m *MachineW) reviveLane(lane int) {
+	if lane < 0 || lane >= m.ActiveLanes() {
+		panic("sim: one-lane load outside the active groups")
+	}
+	m.live = max(m.live, lane+1)
+}
+
 // ImportLane drives one lane's complete wire state from an ExportLane
-// snapshot (possibly taken on a machine of a different width). The lane
-// must lie inside the active groups; other lanes are untouched. Because
-// the snapshot holds settled values, the imported lane is consistent
-// without a Settle — exactly as the exporting machine left it.
+// snapshot (possibly taken on a machine of a different width); other lanes
+// are untouched (see reviveLane for the lane contract). Because the
+// snapshot holds settled values, the imported lane is consistent without a
+// Settle — exactly as the exporting machine left it.
 func (m *MachineW) ImportLane(lane int, src []uint64) {
+	m.reviveLane(lane)
 	w, g := m.W, lane>>6
 	bit := uint64(1) << (uint(lane) & 63)
 	nw := m.NL.NumWires()
 	for wi := 0; wi < nw; wi++ {
-		if src[wi>>6]>>(uint(wi)&63)&1 == 1 {
-			m.values[wi*w+g] |= bit
-		} else {
-			m.values[wi*w+g] &^= bit
-		}
+		m.setLaneBit(wi*w+g, bit, src[wi>>6]>>(uint(wi)&63)&1 == 1)
 	}
 }
 
 // LoadStateLane is LoadState plus LoadInputs restricted to one lane: the
 // lane's flip-flops and primary inputs take the scalar snapshot, every other
-// lane and the active width stay as they are. The campaign scheduler uses it
-// to hand a lane whose experiment ended off the golden run the golden
-// checkpoint of the cycle its device has reached. The lane must lie inside
-// the active groups; a lane CompactLanes left dead carries an experiment
-// again afterwards.
+// lane and the active width stay as they are (see reviveLane). The campaign
+// scheduler uses it to hand a lane whose experiment ended off the golden run
+// the golden checkpoint of the cycle its device has reached.
 func (m *MachineW) LoadStateLane(lane int, ffs, inputs []bool) {
-	if lane < 0 || lane >= m.ActiveLanes() {
-		panic("sim: LoadStateLane lane outside the active groups")
-	}
-	if lane >= m.live {
-		m.live = lane + 1
-	}
+	m.reviveLane(lane)
 	g := lane >> 6
 	bit := uint64(1) << (uint(lane) & 63)
 	for i, v := range ffs {

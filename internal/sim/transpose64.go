@@ -1,15 +1,11 @@
 package sim
 
-import (
-	"math/bits"
-
-	"repro/internal/netlist"
-)
+import "repro/internal/netlist"
 
 // Bus transposition between the machine's bit-plane representation (one
 // uint64 lane word per wire, bit l = lane 64g+l of group g) and the
-// lane-major representation the behavioural memory environments work in
-// (one bus value per lane).
+// lane-major representation (one bus value per lane) of the dense
+// instruction fetch, which LaneMemory runs when LookupBus declines.
 //
 // Both directions use the carry-free multiply transpose: for a word y
 // holding one payload bit per byte (y & 0x0101...), the product
@@ -158,93 +154,4 @@ func (m *MachineW) ScatterLanes(bus []netlist.WireID, vals []uint16) {
 	for g := 0; g < m.ag; g++ {
 		m.ScatterBusG(bus, g, (*[64]uint16)(vals[g*64:]))
 	}
-}
-
-// lookupClusterLimit bounds the distinct src values LookupBus serves before
-// it gives the call to the dense transposes (at three groups a cluster of
-// an instruction fetch costs ≈ 100 word ops, gather + scatter ≈ 5 600; 98 %
-// of AVR fetches have at most 18 clusters and a limit of 32 measured the
-// same), and lookupBackoff is the number of following calls that do not
-// probe again.
-const (
-	lookupClusterLimit = 20
-	lookupBackoff      = 15
-)
-
-// LookupBus drives dst (up to 16 wires) with rom[value of src] in every
-// live lane (0 beyond the ROM) without leaving the bit planes: it takes the
-// lowest unserved lane, reads its src value, AND-reduces the mask of
-// unserved lanes holding the same value, ORs the ROM word into dst under
-// that mask, and repeats. Lanes of one batch mostly follow the golden
-// control flow, so a handful of clusters serves an instruction fetch.
-// Dead lanes (LiveLanes() and up) receive 0.
-//
-// It returns false, with dst unspecified in the active groups, when more
-// than lookupClusterLimit distinct values are present or a recent call
-// found that many; the caller then runs GatherLanes, its own per-lane
-// lookup and ScatterLanes, which overwrites every active group of dst.
-func (m *MachineW) LookupBus(src, dst []netlist.WireID, rom []uint16) bool {
-	if len(dst) > 16 {
-		panic("sim: LookupBus supports at most 16 data wires")
-	}
-	if m.lookupSkip > 0 {
-		m.lookupSkip--
-		return false
-	}
-	w, ag, v := m.W, m.ag, m.values
-	unserved, same := m.unserved[:ag], m.same[:ag]
-	for g := range unserved {
-		switch n := m.live - 64*g; {
-		case n >= 64:
-			unserved[g] = ^uint64(0)
-		case n > 0:
-			unserved[g] = 1<<uint(n) - 1
-		default:
-			unserved[g] = 0
-		}
-	}
-	for _, wire := range dst {
-		base := int(wire) * w
-		for g := 0; g < ag; g++ {
-			v[base+g] = 0
-		}
-	}
-	dmask := ^uint16(0) >> uint(16-len(dst))
-	clusters := 0
-	for g := 0; g < ag; {
-		if unserved[g] == 0 {
-			g++ // groups below g stay served
-			continue
-		}
-		if clusters == lookupClusterLimit {
-			m.lookupSkip = lookupBackoff
-			return false
-		}
-		clusters++
-		sh := uint(bits.TrailingZeros64(unserved[g]))
-		copy(same[g:], unserved[g:])
-		addr := 0
-		for i, wire := range src {
-			base := int(wire) * w
-			b := v[base+g] >> sh & 1
-			addr |= int(b) << uint(i)
-			for k := g; k < ag; k++ {
-				same[k] &^= v[base+k] ^ -b
-			}
-		}
-		var word uint16
-		if addr < len(rom) {
-			word = rom[addr] & dmask
-		}
-		for ; word != 0; word &= word - 1 {
-			base := int(dst[bits.TrailingZeros16(word)]) * w
-			for k := g; k < ag; k++ {
-				v[base+k] |= same[k]
-			}
-		}
-		for k := g; k < ag; k++ {
-			unserved[k] &^= same[k]
-		}
-	}
-	return true
 }
