@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: check build vet no-unsafe test race lint-examples campaign-smoke fleet-smoke bench-smoke bench-snapshot bench-compare fuzz-smoke cover
+.PHONY: check build loc vet no-unsafe test race lint-examples campaign-smoke fleet-smoke bench-smoke bench-snapshot bench-compare fuzz-smoke cover
 
 # The CI gate: everything a PR must pass.
 check: vet no-unsafe build test race lint-examples campaign-smoke fleet-smoke bench-smoke
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per package: the figure ROADMAP's collapse item and its
+# acceptance criteria quote. Informational, no gate.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | \
+		while read -r pkg files; do printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; done | \
+		awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
 
 # Static analysis: go vet always; staticcheck (pinned) when installed —
 # the container-friendly gate. CI installs the pinned version and runs both.
@@ -19,8 +26,9 @@ vet:
 		echo "vet: staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
 
-# The simulation kernels and the CPU environments owe their speed to safe
-# Go: no non-test file there may import unsafe.
+# The simulation kernels, the lane-parallel memory environment and the CPU
+# models owe their speed to safe Go: no non-test file there may import
+# unsafe.
 no-unsafe:
 	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "unsafe"}}{{$$.ImportPath}}{{end}}{{end}}' ./internal/sim/... ./internal/cpu/...); \
 	if [ -n "$$bad" ]; then echo "no-unsafe: non-test files import unsafe in: $$bad" >&2; exit 1; fi

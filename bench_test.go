@@ -12,8 +12,8 @@ package repro
 //	BenchmarkTable3_MSP430   — MSP430 fault-space reduction + top-N selection
 //	BenchmarkLUTCost         — Section 6.1 FPGA cost model
 //	BenchmarkCampaign        — HAFI campaign with online pruning
-//	BenchmarkCampaignBatched — batched engine, early-exit on vs off
-//	BenchmarkCampaignPool    — parallel pool engine (GOMAXPROCS workers)
+//	BenchmarkCampaignWide    — the wide engine on one device of 64, 128, 256 lanes
+//	BenchmarkCampaignPool    — the pool the CLIs build (256-lane devices)
 //	BenchmarkAblation*       — search-depth / term-count ablations
 //	BenchmarkExactVerify     — BDD re-proof of the heuristic MATE set
 //	BenchmarkExactFind       — exact prime-implicant term extraction
@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
@@ -37,7 +36,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hafi"
 	"repro/internal/intercycle"
-	"repro/internal/journal"
 	"repro/internal/netlist"
 	"repro/internal/prune"
 	"repro/internal/sim"
@@ -161,194 +159,63 @@ func BenchmarkCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignBatched isolates the 64-lane batched execution engine:
-// golden run, MATE search and fault list are prepared once outside the
-// loop, so the measured cost is experiment execution alone. The sub-bench
-// pair toggles the golden-state convergence early-exit; the delta between
-// them is the early-exit payoff on this workload.
-func BenchmarkCampaignBatched(b *testing.B) {
+// campaignBenchInputs prepares what the engine benchmarks share — golden
+// run, MATE search and fault list of AVR fib at stride 500 — outside the
+// timed loop, so the measured cost is experiment execution alone.
+func campaignBenchInputs(b *testing.B) (*experiments.CPUCase, *hafi.Controller, hafi.CampaignConfig) {
 	c := experiments.PrepareAVR()
 	run := c.NewRun(c.FibProg)
 	golden, err := hafi.RecordGolden(run, 1<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
-	set := core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set
-	ctl := hafi.NewController(run, golden)
-	points := hafi.SampledFaultList(c.NL, golden.HaltCycle, 500)
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{{"early-exit", false}, {"full-run", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			run64, err := c.NewRun64(c.FibProg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
-					Points:           points,
-					MATESet:          set,
-					DisableEarlyExit: bc.disable,
-				}, run64)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Total == 0 {
-					b.Fatal("empty campaign")
-				}
-			}
-		})
+	return c, hafi.NewController(run, golden), hafi.CampaignConfig{
+		Points:  hafi.SampledFaultList(c.NL, golden.HaltCycle, 500),
+		MATESet: core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set,
 	}
 }
 
-// BenchmarkCampaignWide sweeps the device width on the prepared inputs of
-// BenchmarkCampaignBatched: the W ablation EXPERIMENTS.md tracks.
-func BenchmarkCampaignWide(b *testing.B) {
-	c := experiments.PrepareAVR()
-	run := c.NewRun(c.FibProg)
-	golden, err := hafi.RecordGolden(run, 1<<20)
-	if err != nil {
-		b.Fatal(err)
+// benchCampaign times the wide engine's one entry point on a prepared pool.
+func benchCampaign(b *testing.B, ctl *hafi.Controller, cfg hafi.CampaignConfig, runs []hafi.RunW) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ctl.RunCampaignBatchedPoolWithW(cfg, runs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Total == 0 {
+			b.Fatal("empty campaign")
+		}
 	}
-	set := core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set
-	ctl := hafi.NewController(run, golden)
-	points := hafi.SampledFaultList(c.NL, golden.HaltCycle, 500)
+}
+
+// BenchmarkCampaignWide sweeps the width of a single device, 64 lanes
+// (W=1) included: the W ablation EXPERIMENTS.md tracks.
+func BenchmarkCampaignWide(b *testing.B) {
+	c, ctl, cfg := campaignBenchInputs(b)
 	for _, lanes := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			runw, err := c.NewRunW(c.FibProg, lanes)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := ctl.RunCampaignBatchedW(hafi.CampaignConfig{
-					Points:  points,
-					MATESet: set,
-				}, runw)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Total == 0 {
-					b.Fatal("empty campaign")
-				}
-			}
+			benchCampaign(b, ctl, cfg, []hafi.RunW{runw})
 		})
 	}
 }
 
-// BenchmarkCampaignMBU is BenchmarkCampaignBatched under the mbu:2 fault
-// model: adjacent-pair bursts enumerated over the same workload, executed
-// by the batched engine with pruning and early-exit enabled. Multi-flip
-// points are outside the MATE masking argument (never pruned) and inject
-// two flips per held cycle, so the delta against the SEU benchmark is the
-// model-diversity overhead of the injection hot path.
-func BenchmarkCampaignMBU(b *testing.B) {
-	c := experiments.PrepareAVR()
-	run := c.NewRun(c.FibProg)
-	golden, err := hafi.RecordGolden(run, 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set
-	ctl := hafi.NewController(run, golden)
-	points := hafi.ModelFaultList(c.NL, golden.HaltCycle, 500, hafi.ModelSpec{Model: hafi.ModelMBU, Span: 2})
-	run64, err := c.NewRun64(c.FibProg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
-			Points:  points,
-			MATESet: set,
-		}, run64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Total == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
-}
-
-// BenchmarkCampaignPool measures the parallel batched scheduler with one
-// 64-lane device instance per logical CPU (same prepared inputs as
-// BenchmarkCampaignBatched; the delta is the multi-core scaling).
+// BenchmarkCampaignPool measures the pool the CLIs build: devices of
+// hafi.DefaultCampaignLanes lanes, one per logical CPU but no more than the
+// fault list can fill at once (same prepared inputs as
+// BenchmarkCampaignWide; the delta to lanes=256 is the multi-core scaling).
 func BenchmarkCampaignPool(b *testing.B) {
-	c := experiments.PrepareAVR()
-	run := c.NewRun(c.FibProg)
-	golden, err := hafi.RecordGolden(run, 1<<20)
+	c, ctl, cfg := campaignBenchInputs(b)
+	runs, err := c.NewPool(c.FibProg, hafi.DefaultCampaignLanes, runtime.GOMAXPROCS(0), len(cfg.Points))
 	if err != nil {
 		b.Fatal(err)
 	}
-	set := core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set
-	ctl := hafi.NewController(run, golden)
-	points := hafi.SampledFaultList(c.NL, golden.HaltCycle, 500)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ctl.RunCampaignBatchedPool(hafi.CampaignConfig{
-			Points:  points,
-			MATESet: set,
-			Workers: runtime.GOMAXPROCS(0),
-		}, func() (hafi.Run64, error) { return c.NewRun64(c.FibProg) })
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Total == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
-}
-
-// BenchmarkCampaignJournal is BenchmarkCampaign with a durable journal
-// attached: same golden run, MATE search and batched campaign, plus one
-// crash-recovery record per classified point. The delta against
-// BenchmarkCampaign is the journal write overhead (EXPERIMENTS.md tracks
-// it; the resilience contract demands it stays within a few percent).
-func BenchmarkCampaignJournal(b *testing.B) {
-	c := experiments.PrepareAVR()
-	params := core.DefaultSearchParams()
-	dir := b.TempDir()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run := c.NewRun(c.FibProg)
-		golden, err := hafi.RecordGolden(run, 1<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		set := core.Search(c.NL, c.FaultAll, params).Set
-		ctl := hafi.NewController(run, golden)
-		run64, err := c.NewRun64(c.FibProg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		points := hafi.SampledFaultList(c.NL, golden.HaltCycle, 500)
-		jw, err := journal.Create(filepath.Join(dir, fmt.Sprintf("bench-%d.journal", i)), ctl.JournalHeader(points))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
-			Points:  points,
-			MATESet: set,
-			Journal: jw,
-		}, run64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := jw.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if res.Total == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
+	benchCampaign(b, ctl, cfg, runs)
 }
 
 // --- ablation benches for the heuristic knobs (DESIGN.md §6) -------------

@@ -228,7 +228,14 @@ func main() {
 	if *sequential {
 		res, err = ctl.RunCampaign(cfg)
 	} else {
-		res, err = ctl.RunCampaignBatchedPoolW(cfg, factoryW)
+		// No more devices than the fault list can fill at once.
+		runs := make([]hafi.RunW, max(1, min(*workers, (len(points)+*lanes-1) / *lanes)))
+		for i := range runs {
+			if runs[i], err = factoryW(); err != nil {
+				fail(err)
+			}
+		}
+		res, err = ctl.RunCampaignBatchedPoolWithW(cfg, runs)
 	}
 	if err != nil {
 		fail(err)

@@ -2,7 +2,7 @@
 // coordinator, reconstructs the campaign locally from the advertised spec
 // (golden run, fault list, MATE set), verifies its reconstruction against
 // the coordinator's fingerprints, and then leases shards one at a time —
-// running each on the 64-lane batched engine under a heartbeat, and
+// running each on the wide campaign engine under a heartbeat, and
 // uploading the shard journal with jittered exponential retry.
 //
 // Failure semantics: losing a lease (another worker took the shard over

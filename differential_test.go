@@ -5,10 +5,11 @@ package repro
 //
 //  1. the offline replay (prune.MaskedGrid over the golden trace),
 //  2. the sequential campaign controller (hafi.RunCampaign),
-//  3. the 64-lane batched engine (hafi.RunCampaignBatched), and
-//  4. the pooled batched engine with the convergence early-exit disabled
-//     (hafi.RunCampaignBatchedPool + DisableEarlyExit) — the full-run
-//     reference that proves the early-exit never changes a verdict.
+//  3. the wide engine (hafi.RunCampaignBatchedPoolWithW) on one 64-lane
+//     device, and
+//  4. the wide engine on a pool of 64-lane devices with the convergence
+//     early-exit disabled (DisableEarlyExit) — the full-run reference that
+//     proves the early-exit never changes a verdict.
 //
 // Every campaign engine journals every classified point; the journals are
 // recovered and compared record by record (pruned flag AND outcome), so any
@@ -105,25 +106,18 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 		return ctl.RunCampaign(cfg)
 	})
 
-	// Implementation 3: 64-lane batched engine.
+	// Implementation 3: the wide engine on one 64-lane device.
 	batchRecs, batchRes := runJournaled("batched", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-		run64, err := c.NewRun64(prog)
-		if err != nil {
-			return nil, err
-		}
-		return ctl.RunCampaignBatched(cfg, run64)
+		return runPool64(c, prog, golden, cfg, 1)
 	})
 
-	// Implementation 4: pooled batched engine with the convergence
+	// Implementation 4: a pool of 64-lane devices with the convergence
 	// early-exit disabled — every experiment runs to halt or timeout, so
 	// agreement with the early-exiting engines proves the exit sound on
 	// this fault list.
 	fullRecs, fullRes := runJournaled("full-run", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-		cfg.Workers = runtime.NumCPU()
 		cfg.DisableEarlyExit = true
-		return ctl.RunCampaignBatchedPool(cfg, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+		return runPool64(c, prog, golden, cfg, runtime.NumCPU())
 	})
 	if fullRes.Converged != 0 {
 		t.Errorf("DisableEarlyExit run reports %d converged experiments, want 0", fullRes.Converged)
@@ -212,12 +206,11 @@ func TestDifferentialEarlyExitNoPrune(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ctl.RunCampaignBatchedPool(hafi.CampaignConfig{
+		res, err := runPool64(c, prog, golden, hafi.CampaignConfig{
 			Points:           points,
 			Journal:          jw,
 			DisableEarlyExit: disable,
-			Workers:          workers,
-		}, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+		}, workers)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -268,4 +261,14 @@ func TestDifferentialEarlyExitNoPrune(t *testing.T) {
 	}
 	t.Logf("%d points, %d converged early (%d cycles saved), outcomes %v",
 		earlyRes.Total, earlyRes.Converged, earlyRes.CyclesSaved, earlyRes.ByOutcome)
+}
+
+// runPool64 runs cfg through the wide engine's one entry point on a pool of
+// up to workers 64-lane devices — W=1 is a width like any other.
+func runPool64(c *experiments.CPUCase, prog []uint16, golden *hafi.Golden, cfg hafi.CampaignConfig, workers int) (*hafi.CampaignResult, error) {
+	runs, err := c.NewPool(prog, 64, workers, len(cfg.Points))
+	if err != nil {
+		return nil, err
+	}
+	return hafi.NewController(c.NewRun(prog), golden).RunCampaignBatchedPoolWithW(cfg, runs)
 }

@@ -16,8 +16,10 @@
 //   - internal/netlist   — gate-level netlist IR and structural analyses
 //   - internal/synth     — word-level structural synthesis (adders, muxes,
 //     register files, ...)
-//   - internal/sim       — cycle-accurate gate-level simulator with SEU
-//     injection and wire-level traces
+//   - internal/sim       — cycle-accurate gate-level simulation: the scalar
+//     reference machine with wire-level traces, and the one lane-parallel
+//     machine (64·W experiments per evaluation pass) with its bit-plane
+//     memory environment
 //   - internal/vcd       — VCD trace writer/parser
 //   - internal/cpu/avr   — AVR-class 2-stage pipelined 8-bit core,
 //     assembler and golden-model ISS
@@ -28,8 +30,10 @@
 //     exact masking oracle
 //   - internal/prune     — trace replay, fault-space accounting, top-N
 //     selection
-//   - internal/hafi      — HAFI platform model: campaigns, online pruning,
-//     FPGA LUT cost model
+//   - internal/hafi      — HAFI platform model: the sequential reference
+//     controller, one wide device and one lane-scheduled campaign engine
+//     over a pool of them, online pruning, fault models, FPGA LUT cost
+//     model
 //   - internal/experiments — regenerates every table and figure
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and

@@ -196,12 +196,11 @@ func TestDifferentialExactPruneCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ctl.RunCampaignBatchedPool(hafi.CampaignConfig{
+		res, err := runPool64(c, prog, golden, hafi.CampaignConfig{
 			Points:  points,
 			MATESet: set,
 			Journal: jw,
-			Workers: runtime.NumCPU(),
-		}, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+		}, runtime.NumCPU())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

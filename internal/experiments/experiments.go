@@ -38,13 +38,26 @@ type CPUCase struct {
 	TraceFib   *sim.Trace
 	TraceConv  *sim.Trace
 	NewRun     func(prog []uint16) hafi.Run
-	NewRun64   func(prog []uint16) (hafi.Run64, error)
 	NewRunW    func(prog []uint16, lanes int) (hafi.RunW, error)
 	FibProg    []uint16
 	ConvProg   []uint16
 	RegGroup   string
 	TotalFFs   int
 	RegFileFFs int
+}
+
+// NewPool builds the device pool the campaign front-ends build for a fault
+// list of the given size: up to workers devices of the given lane count,
+// and no more than the points can fill at once.
+func (c *CPUCase) NewPool(prog []uint16, lanes, workers, points int) ([]hafi.RunW, error) {
+	runs := make([]hafi.RunW, max(1, min(workers, (points+lanes-1)/lanes)))
+	for i := range runs {
+		var err error
+		if runs[i], err = c.NewRunW(prog, lanes); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
 }
 
 var (
@@ -80,7 +93,6 @@ func prepare() {
 			TraceFib:  avr.NewSystem(ac, fib).Record(progs.TraceCycles),
 			TraceConv: avr.NewSystem(avr.NewCore(), conv).Record(progs.TraceCycles),
 			NewRun:    func(p []uint16) hafi.Run { return hafi.NewAVRRun(avr.NewCore(), p) },
-			NewRun64:  func(p []uint16) (hafi.Run64, error) { return hafi.NewAVRRun64(avr.NewCore(), p) },
 			NewRunW:   func(p []uint16, lanes int) (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), p, lanes) },
 			FibProg:   fib, ConvProg: conv,
 			RegGroup: avr.GroupRegFile,
@@ -99,7 +111,6 @@ func prepare() {
 			TraceFib:  msp430.NewSystem(mc, mfib).Record(progs.TraceCycles),
 			TraceConv: msp430.NewSystem(msp430.NewCore(), mconv).Record(progs.TraceCycles),
 			NewRun:    func(p []uint16) hafi.Run { return hafi.NewMSP430Run(msp430.NewCore(), p) },
-			NewRun64:  func(p []uint16) (hafi.Run64, error) { return hafi.NewMSP430Run64(msp430.NewCore(), p) },
 			NewRunW:   func(p []uint16, lanes int) (hafi.RunW, error) { return hafi.NewMSP430RunW(msp430.NewCore(), p, lanes) },
 			FibProg:   mfib, ConvProg: mconv,
 			RegGroup: msp430.GroupRegFile,
@@ -457,14 +468,18 @@ func Campaign(ctx context.Context, c *CPUCase, workload string, stride int, para
 	params.Context = ctx
 	set := core.Search(c.NL, c.FaultAll, params).Set
 	ctl := hafi.NewController(run, golden)
-	res, err := ctl.RunCampaignBatchedPoolW(hafi.CampaignConfig{
-		Points:          hafi.SampledFaultList(c.NL, golden.HaltCycle, stride),
+	points := hafi.SampledFaultList(c.NL, golden.HaltCycle, stride)
+	runs, err := c.NewPool(prog, hafi.DefaultCampaignLanes, runtime.GOMAXPROCS(0), len(points))
+	if err != nil {
+		return nil, err
+	}
+	res, err := ctl.RunCampaignBatchedPoolWithW(hafi.CampaignConfig{
+		Points:          points,
 		MATESet:         set,
 		ValidateSkipped: validate,
 		Context:         ctx,
 		Obs:             params.Obs,
-		Workers:         runtime.GOMAXPROCS(0),
-	}, func() (hafi.RunW, error) { return c.NewRunW(prog, hafi.DefaultCampaignLanes) })
+	}, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -587,13 +602,13 @@ func CrossLayer(c *CPUCase, stride int) ([]CrossLayerRow, error) {
 		return nil, err
 	}
 	ctl := hafi.NewController(run, golden)
-	run64, err := c.NewRun64(c.FibProg)
+	dev, err := c.NewRunW(c.FibProg, hafi.DefaultCampaignLanes)
 	if err != nil {
 		return nil, err
 	}
-	ffRes, err := ctl.RunCampaignBatched(hafi.CampaignConfig{
+	ffRes, err := ctl.RunCampaignBatchedPoolWithW(hafi.CampaignConfig{
 		Points: hafi.SampledFaultList(c.NL, golden.HaltCycle, stride),
-	}, run64)
+	}, []hafi.RunW{dev})
 	if err != nil {
 		return nil, err
 	}

@@ -77,14 +77,14 @@ func TestFleetChaos(t *testing.T) {
 	set := core.Search(nl, nl.FFQWires(), core.DefaultSearchParams()).Set
 
 	mkRunner := func() *CampaignRunner {
-		run64, err := hafi.NewAVRRun64(avr.NewCore(), prog)
+		run64, err := hafi.NewAVRRunW(avr.NewCore(), prog, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &CampaignRunner{
 			Ctl:     hafi.NewControllerPool(newRun, golden),
 			Points:  points,
-			Runs:    []hafi.Run64{run64},
+			RunsW:   []hafi.RunW{run64},
 			MATESet: set,
 		}
 	}
@@ -96,13 +96,13 @@ func TestFleetChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRun64, err := hafi.NewAVRRun64(avr.NewCore(), prog)
+	refRun, err := hafi.NewAVRRunW(avr.NewCore(), prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, err := refCtl.RunCampaignBatched(hafi.CampaignConfig{
+	refRes, err := refCtl.RunCampaignBatchedPoolWithW(hafi.CampaignConfig{
 		Points: points, MATESet: set, Journal: jw,
-	}, refRun64)
+	}, []hafi.RunW{refRun})
 	if err != nil {
 		t.Fatal(err)
 	}

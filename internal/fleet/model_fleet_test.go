@@ -39,14 +39,14 @@ func TestFleetModelCampaign(t *testing.T) {
 	}
 
 	mkRunner := func(model string) *CampaignRunner {
-		run64, err := hafi.NewAVRRun64(avr.NewCore(), prog)
+		run64, err := hafi.NewAVRRunW(avr.NewCore(), prog, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &CampaignRunner{
 			Ctl:    hafi.NewControllerPool(newRun, golden),
 			Points: points,
-			Runs:   []hafi.Run64{run64},
+			RunsW:  []hafi.RunW{run64},
 			Model:  model,
 		}
 	}
@@ -58,13 +58,13 @@ func TestFleetModelCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRun64, err := hafi.NewAVRRun64(avr.NewCore(), prog)
+	refRun, err := hafi.NewAVRRunW(avr.NewCore(), prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := refCtl.RunCampaignBatched(hafi.CampaignConfig{
+	if _, err := refCtl.RunCampaignBatchedPoolWithW(hafi.CampaignConfig{
 		Points: points, Journal: jw,
-	}, refRun64); err != nil {
+	}, []hafi.RunW{refRun}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw.Close(); err != nil {

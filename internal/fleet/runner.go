@@ -52,22 +52,17 @@ func (o *ShardObs) Recorder() *SegmentRecorder {
 }
 
 // CampaignRunner is the production Runner: it executes shards of the
-// campaign fault list on the batched HAFI engine, reusing one pool of
-// 64-lane device instances across every shard the worker leases (the
-// RunCampaignBatchedPoolWith path — device construction is paid once per
-// process, not once per shard).
+// campaign fault list on the wide HAFI engine, reusing one pool of device
+// instances across every shard the worker leases (device construction is
+// paid once per process, not once per shard).
 type CampaignRunner struct {
 	// Ctl is this worker's campaign controller. Not shareable between
 	// concurrent workers: each in-process worker needs its own.
 	Ctl *hafi.Controller
 	// Points is the full campaign fault list (shards slice into it).
 	Points []hafi.FaultPoint
-	// Runs is the 64-lane device pool, reused across shards. Superseded by
-	// RunsW when that is non-nil; kept for callers (and tests) that build
-	// classic 64-lane devices.
-	Runs []hafi.Run64
-	// RunsW is the wide device pool (e.g. 256-lane devices), preferred over
-	// Runs when non-nil.
+	// RunsW is the device pool (e.g. 256-lane devices), reused across
+	// shards.
 	RunsW []hafi.RunW
 	// Model is the fault model the fault list was enumerated under, in
 	// -fault-model syntax (empty = "seu").
@@ -136,13 +131,7 @@ func (r *CampaignRunner) RunShard(ctx context.Context, lo, hi int, path string, 
 		r.Obs.AttachTracer(obs.TeeTracer(prev, obsv.Recorder()))
 		defer r.Obs.AttachTracer(prev)
 	}
-	var res *hafi.CampaignResult
-	var runErr error
-	if r.RunsW != nil {
-		res, runErr = r.Ctl.RunCampaignBatchedPoolWithW(cfg, r.RunsW)
-	} else {
-		res, runErr = r.Ctl.RunCampaignBatchedPoolWith(cfg, r.Runs)
-	}
+	res, runErr := r.Ctl.RunCampaignBatchedPoolWithW(cfg, r.RunsW)
 	closeErr := w.Close()
 	if runErr != nil {
 		return runErr

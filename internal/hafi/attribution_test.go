@@ -124,15 +124,15 @@ func TestAttributionBatchedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points, MATESet: set}, run64)
+	bat, err := ctl.RunCampaignBatchedPoolWithW(CampaignConfig{Points: points, MATESet: set}, []RunW{run64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, err := ctl.RunCampaignBatched(CampaignConfig{Points: points, MATESet: set, ValidateSkipped: true}, run64)
+	val, err := ctl.RunCampaignBatchedPoolWithW(CampaignConfig{Points: points, MATESet: set, ValidateSkipped: true}, []RunW{run64})
 	if err != nil {
 		t.Fatal(err)
 	}

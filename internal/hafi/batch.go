@@ -9,98 +9,49 @@ import (
 
 // DefaultCampaignLanes is the lane count the campaign front-ends default
 // to: width 4 (256 lanes), the widest kernel with a hand-unrolled dense
-// dispatch. 64-lane devices remain fully supported (journals are
-// byte-identical across widths).
+// dispatch. Journals are byte-identical across widths.
 const DefaultCampaignLanes = 256
 
-// RunCampaignBatched executes the campaign on a 64-lane batched device.
-// Semantically identical to RunCampaign (same outcomes for every point);
-// typically an order of magnitude faster. MATE pruning is applied before
-// execution, exactly like the sequential controller; ValidateSkipped
-// re-executes pruned points on the device as well.
+// RunCampaignBatchedPoolWithW is the wide campaign engine's one entry point
+// (the name is the one bench/ calls; it is shortened when bench/ is next
+// edited): it executes the campaign on a pool of wide device instances —
+// the paper's "one FI controller distributes the FI campaign over several
+// FPGAs", with each instance playing one FPGA. Semantically identical to
+// RunCampaign (same outcomes for every point) and typically two orders of
+// magnitude faster. MATE pruning is applied before execution, exactly like
+// the sequential controller; ValidateSkipped re-executes pruned points on
+// the devices as well.
 //
-// Every RunCampaignBatched* entry point is the lane scheduler of
-// scheduler.go over a pool of devices (here a pool of one): a device
-// sweeps the golden timeline, a lane whose experiment retired is handed
-// the next pending point of the cycle the sweep has reached, and lanes
-// retire individually through the convergence early-exit (see
-// Controller.execute). CampaignConfig.DisableEarlyExit restores full runs.
+// The engine is the lane scheduler of scheduler.go: a device sweeps the
+// golden timeline, a lane whose experiment retired is handed the next
+// pending point of the cycle the sweep has reached, and lanes retire
+// individually through the convergence early-exit (see Controller.execute).
+// CampaignConfig.DisableEarlyExit restores full runs. The devices share one
+// plan and results are journaled in plan order from a single goroutine, so
+// classification and the journal byte stream are identical at every lane
+// count and pool size, and crash-resume and journal-diff behaviour does not
+// depend on either.
+//
+// The caller builds the pool — min(Workers, ⌈points/lanes⌉) devices is all
+// a campaign can keep busy — and may reuse it across calls (a fleet worker
+// executing many shards pays the construction once): a campaign restores a
+// golden checkpoint into every lane before it injects. Every instance must
+// model the netlist and workload the golden reference was recorded from;
+// one that does not is refused before anything is classified or journaled.
 //
 // Resilience matches the sequential engine: recovered journal records are
 // replayed instead of re-executed, every newly classified point is
-// journaled in plan order as soon as every earlier point is, cancellation
+// journaled in plan order as soon as every earlier point is (on
+// cancellation the journal covers a contiguous plan prefix), cancellation
 // stops handing out points while the experiments in flight finish, and a
 // panicking device costs exactly the points that panic again when retried
 // alone (OutcomeHarnessError).
-func (c *Controller) RunCampaignBatched(cfg CampaignConfig, run64 Run64) (*CampaignResult, error) {
-	return c.RunCampaignBatchedW(cfg, AsRunW(run64))
-}
-
-// RunCampaignBatchedW is RunCampaignBatched on a wide (64·W lane) device.
-// Classification — and the journal byte stream — is identical at every
-// width.
-func (c *Controller) RunCampaignBatchedW(cfg CampaignConfig, run RunW) (*CampaignResult, error) {
-	return c.runCampaignPool(cfg, []RunW{run}, nil)
-}
-
-// RunCampaignBatchedPool is RunCampaignBatched over a pool of up to
-// cfg.Workers batched device instances — the paper's "one FI controller
-// distributes the FI campaign over several FPGAs", with each worker
-// playing one FPGA. The factory must produce Run64 instances of the same
-// netlist and workload the golden reference was recorded from.
-//
-// The devices share one plan and results are journaled in plan order from
-// a single goroutine, so the journal an uninterrupted pool campaign writes
-// is byte-identical to the single-instance engine's, and crash-resume and
-// journal-diff behavior is unchanged. On cancellation the journal covers a
-// contiguous plan prefix.
-func (c *Controller) RunCampaignBatchedPool(cfg CampaignConfig, factory func() (Run64, error)) (*CampaignResult, error) {
-	return c.RunCampaignBatchedPoolW(cfg, func() (RunW, error) {
-		r, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		return AsRunW(r), nil
-	})
-}
-
-// RunCampaignBatchedPoolW is RunCampaignBatchedPool over a factory of wide
-// devices (see RunCampaignBatchedW).
-func (c *Controller) RunCampaignBatchedPoolW(cfg CampaignConfig, factory func() (RunW, error)) (*CampaignResult, error) {
-	return c.runCampaignPool(cfg, nil, factory)
-}
-
-// RunCampaignBatchedPoolWith is RunCampaignBatchedPool over caller-provided
-// device instances instead of a factory: the pool size is len(runs) and the
-// instances are reused as-is, so a long-lived process (a fleet worker
-// executing many shards of one campaign) pays the device construction cost
-// once, not once per shard. The instances must model the same netlist and
-// workload the golden reference was recorded from; they are handed back in
-// whatever state the last sweep left them (a campaign restores a golden
-// checkpoint into every lane before it injects, so reuse is safe by
-// construction).
-func (c *Controller) RunCampaignBatchedPoolWith(cfg CampaignConfig, runs []Run64) (*CampaignResult, error) {
-	rw := make([]RunW, len(runs))
-	for i, r := range runs {
-		rw[i] = AsRunW(r)
-	}
-	return c.RunCampaignBatchedPoolWithW(cfg, rw)
-}
-
-// RunCampaignBatchedPoolWithW is RunCampaignBatchedPoolWith over wide
-// device instances.
 func (c *Controller) RunCampaignBatchedPoolWithW(cfg CampaignConfig, runs []RunW) (*CampaignResult, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("hafi: pool campaign needs at least one device instance")
-	}
-	return c.runCampaignPool(cfg, runs, nil)
-}
-
-// runCampaignPool is the one batched engine: exactly one of runs/factory is
-// set, fixing the pool or constructing it on demand.
-func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory func() (RunW, error)) (*CampaignResult, error) {
 	timeout, err := c.prepareCampaign(&cfg)
 	if err != nil {
+		return nil, err
+	}
+	if err := c.checkPool(runs); err != nil {
 		return nil, err
 	}
 	sp := cfg.Obs.StartSpan("campaign")
@@ -111,19 +62,6 @@ func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory fu
 	toRun, toValidate, err := c.classifyPoints(&cfg, em)
 	if err != nil {
 		return nil, err
-	}
-
-	if factory != nil {
-		// At least one device, and another while those built so far cannot
-		// hold the whole plan at once.
-		work := len(toRun) + len(toValidate)
-		for len(runs) < max(cfg.Workers, 1) && (len(runs) == 0 || len(runs)*runs[0].Lanes() < work) {
-			r, err := factory()
-			if err != nil {
-				return nil, fmt.Errorf("hafi: pool worker %d: %w", len(runs), err)
-			}
-			runs = append(runs, r)
-		}
 	}
 	met.setLanes(runs[0].Lanes())
 	met.setWorkers(len(runs))
@@ -145,6 +83,42 @@ func (c *Controller) runCampaignPool(cfg CampaignConfig, runs []RunW, factory fu
 	}
 	em.res.Interrupted = cfg.context().Err() != nil
 	return em.res, nil
+}
+
+// checkPool refuses a pool the scheduler could only turn into harness
+// errors: every device must simulate a netlist of the controller's shape
+// and take the golden run's checkpoints.
+func (c *Controller) checkPool(runs []RunW) error {
+	if len(runs) == 0 {
+		return fmt.Errorf("hafi: pool campaign needs at least one device instance")
+	}
+	for i, r := range runs {
+		if r == nil {
+			return fmt.Errorf("hafi: pool device %d is nil", i)
+		}
+		if nl := r.MachW().NL; nl.NumWires() != c.nl.NumWires() || len(nl.FFs) != len(c.nl.FFs) {
+			return fmt.Errorf("hafi: pool device %d simulates %d wires and %d flip-flops, the controller's netlist has %d and %d",
+				i, nl.NumWires(), len(nl.FFs), c.nl.NumWires(), len(c.nl.FFs))
+		}
+		if len(c.golden.Checkpoints) == 0 {
+			continue
+		}
+		if err := tryLoad(r, c.golden.Checkpoints[0]); err != nil {
+			return fmt.Errorf("hafi: pool device %d does not take the golden run's checkpoints: %v", i, err)
+		}
+	}
+	return nil
+}
+
+// tryLoad is LoadCheckpoint with the device's refusal as an error.
+func tryLoad(r RunW, cp Checkpoint) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%v", p)
+		}
+	}()
+	r.LoadCheckpoint(cp)
+	return nil
 }
 
 // runPlan executes one plan on the pool: one goroutine per device drives

@@ -20,11 +20,11 @@ func TestBatchedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points}, run64)
+	bat, err := ctl.RunCampaignBatchedPoolWithW(CampaignConfig{Points: points}, []RunW{run64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,15 +46,15 @@ func TestBatchedWithPruningAndValidation(t *testing.T) {
 	ctl := NewController(r, g)
 	points := SampledFaultList(c.NL, g.HaltCycle, 4)
 
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := ctl.RunCampaignBatched(CampaignConfig{
+	bat, err := ctl.RunCampaignBatchedPoolWithW(CampaignConfig{
 		Points:          points,
 		MATESet:         set,
 		ValidateSkipped: true,
-	}, run64)
+	}, []RunW{run64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestBatchedMSP430(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run64, err := NewMSP430Run64(c, prog)
+	run64, err := NewMSP430RunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := ctl.RunCampaignBatched(CampaignConfig{Points: points}, run64)
+	bat, err := ctl.RunCampaignBatchedPoolWithW(CampaignConfig{Points: points}, []RunW{run64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestBatchedCheckpointTypeMismatch(t *testing.T) {
 	cp := arun.Checkpoint()
 
 	mc := msp430.NewCore()
-	mrun64, err := NewMSP430Run64(mc, msp430.MustAssemble("halt"))
+	mrun64, err := NewMSP430RunW(mc, msp430.MustAssemble("halt"), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,8 @@ func TestBatchedCheckpointTypeMismatch(t *testing.T) {
 	mrun64.LoadCheckpoint(cp)
 }
 
-// TestBatchedPoolMatchesSequential: the pooled 64-lane engine — factory
-// construction path, several device instances, reorder-buffer emission —
+// TestBatchedPoolMatchesSequential: the engine over a pool of three
+// 64-lane devices — several device instances, reorder-buffer emission —
 // must match the sequential controller outcome for outcome. The fault
 // list is MBU so the pool is exercised under a non-SEU model (multi-FF
 // injection per lane, journal-v3 point shapes).
@@ -157,8 +157,13 @@ func TestBatchedPoolMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := ctl.RunCampaignBatchedPool(CampaignConfig{Points: points, Workers: 3},
-		func() (Run64, error) { return NewAVRRun64(avr.NewCore(), prog) })
+	runs := make([]RunW, 3)
+	for i := range runs {
+		if runs[i], err = NewAVRRunW(avr.NewCore(), prog, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool, err := ctl.RunCampaignBatchedPoolWithW(CampaignConfig{Points: points}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 // trace capture between Settle and CommitFFs, exactly like the scalar
 // tracer hooks) and can checkpoint a single lane in the scalar target's
 // Checkpoint format, so the recorded Golden is interchangeable with one
-// from RecordGolden — the sequential engine Restores from it and the
-// batched engines LoadCheckpoint from it without knowing who recorded it.
+// from RecordGolden — the sequential engine Restores from it and the wide
+// engine's devices LoadCheckpoint from it without knowing who recorded it.
 type GoldenRunW interface {
 	RunW
 	// EnvW returns the per-cycle lane environment.

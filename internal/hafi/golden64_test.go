@@ -41,8 +41,8 @@ func TestRecordGoldenWMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareGolden(t, want, got, func(cyc int) {
-				w := want.Checkpoints[cyc].(*avrCheckpoint)
-				g := got.Checkpoints[cyc].(*avrCheckpoint)
+				w := want.Checkpoints[cyc].(*checkpoint[uint8])
+				g := got.Checkpoints[cyc].(*checkpoint[uint8])
 				if w.dmem != g.dmem || w.digest != g.digest || w.cycle != g.cycle {
 					t.Fatalf("cycle %d: checkpoint mem/digest/cycle differ", cyc)
 				}
@@ -65,8 +65,8 @@ func TestRecordGoldenWMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareGolden(t, want, got, func(cyc int) {
-				w := want.Checkpoints[cyc].(*msp430Checkpoint)
-				g := got.Checkpoints[cyc].(*msp430Checkpoint)
+				w := want.Checkpoints[cyc].(*checkpoint[uint16])
+				g := got.Checkpoints[cyc].(*checkpoint[uint16])
 				if w.dmem != g.dmem || w.digest != g.digest || w.cycle != g.cycle {
 					t.Fatalf("cycle %d: checkpoint mem/digest/cycle differ", cyc)
 				}

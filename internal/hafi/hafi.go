@@ -227,7 +227,8 @@ type CampaignConfig struct {
 	Points []FaultPoint
 	// Workers shards the experiments over this many device instances
 	// (requires a controller created with NewControllerPool). 0 or 1 runs
-	// sequentially.
+	// sequentially. RunCampaign only: the wide engine runs one worker per
+	// device of the pool it is given.
 	Workers int
 	// TimeoutFactor bounds experiment length: an experiment hangs when it
 	// exceeds TimeoutFactor × golden halt cycle. Zero selects the default

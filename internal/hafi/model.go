@@ -58,7 +58,7 @@ func (id ModelID) String() string {
 
 // FFAccess is the flip-flop view a fault model injects through: read and
 // invert stored values by flip-flop index. Two adapters exist — one over
-// the scalar machine, one over a single lane of the 64-lane machine — so
+// the scalar machine, one over a single lane of the wide machine — so
 // every model has exactly one injection implementation shared by both
 // engines.
 type FFAccess interface {

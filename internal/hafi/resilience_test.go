@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpu/avr"
+	"repro/internal/cpu/msp430"
 	"repro/internal/journal"
 )
 
@@ -105,7 +107,7 @@ func TestCampaignGracefulDrain(t *testing.T) {
 
 // runInterrupted runs the campaign against a fresh journal, cancelling
 // after cut points, and returns the journal path plus the partial result.
-func runInterrupted(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64, cut int) (string, *CampaignResult) {
+func runInterrupted(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 RunW, cut int) (string, *CampaignResult) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "campaign.journal")
 	jw, err := journal.Create(path, ctl.JournalHeader(cfg.Points))
@@ -117,7 +119,7 @@ func runInterrupted(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run
 	cfg.Journal, cfg.Context, cfg.Progress = jw, ctx, prog
 	var res *CampaignResult
 	if run64 != nil {
-		res, err = ctl.RunCampaignBatched(cfg, run64)
+		res, err = ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{run64})
 	} else {
 		res, err = ctl.RunCampaign(cfg)
 	}
@@ -143,7 +145,7 @@ func dropConvergence(r *CampaignResult) *CampaignResult {
 }
 
 // resumeAndFinish recovers the journal and completes the campaign.
-func resumeAndFinish(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64, path string) *CampaignResult {
+func resumeAndFinish(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 RunW, path string) *CampaignResult {
 	t.Helper()
 	jw, rec, err := journal.Resume(path, ctl.JournalHeader(cfg.Points))
 	if err != nil {
@@ -153,7 +155,7 @@ func resumeAndFinish(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Ru
 	cfg.Journal, cfg.Resume = jw, rec
 	var res *CampaignResult
 	if run64 != nil {
-		res, err = ctl.RunCampaignBatched(cfg, run64)
+		res, err = ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{run64})
 	} else {
 		res, err = ctl.RunCampaign(cfg)
 	}
@@ -163,12 +165,12 @@ func resumeAndFinish(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Ru
 	return res
 }
 
-func checkResumeEquivalence(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64, cuts []int) {
+func checkResumeEquivalence(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 RunW, cuts []int) {
 	t.Helper()
 	var baseline *CampaignResult
 	var err error
 	if run64 != nil {
-		baseline, err = ctl.RunCampaignBatched(cfg, run64)
+		baseline, err = ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{run64})
 	} else {
 		baseline, err = ctl.RunCampaign(cfg)
 	}
@@ -242,7 +244,7 @@ func TestCrashResumeParallel(t *testing.T) {
 
 func TestCrashResumeBatched(t *testing.T) {
 	c, prog, g, r := goldenAVR(t)
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestCrashResumeBatched(t *testing.T) {
 
 func TestCrashResumeBatchedPruned(t *testing.T) {
 	c, prog, g, r := goldenAVR(t)
-	run64, err := NewAVRRun64(c, prog)
+	run64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,11 +363,11 @@ func uniqueCyclePoints(g *Golden, n, ffs int) []FaultPoint {
 
 // journalByIndex runs the campaign with a journal and returns the
 // per-point records (the ground truth for comparing verdicts).
-func journalByIndex(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run64) (map[uint64]journal.Record, *CampaignResult) {
+func journalByIndex(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 RunW) (map[uint64]journal.Record, *CampaignResult) {
 	t.Helper()
 	_, recs, res := journalOf(t, ctl, cfg, func(cfg CampaignConfig) (*CampaignResult, error) {
 		if run64 != nil {
-			return ctl.RunCampaignBatched(cfg, run64)
+			return ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{run64})
 		}
 		return ctl.RunCampaign(cfg)
 	})
@@ -467,19 +469,19 @@ func TestPanicIsolationParallel(t *testing.T) {
 	checkConsistent(t, res)
 }
 
-// panicRun64 panics whenever the campaign injects into tripFF: the whole
+// panicRunW panics whenever the campaign injects into tripFF: the whole
 // batch aborts, and only the lane-by-lane retry pins the harness error on
 // the offending point.
-type panicRun64 struct {
-	Run64
+type panicRunW struct {
+	RunW
 	tripFF int
 }
 
-func (p *panicRun64) FlipLane(ff, lane int) {
+func (p *panicRunW) FlipLane(ff, lane int) {
 	if ff == p.tripFF {
 		panic("injected lane fault")
 	}
-	p.Run64.FlipLane(ff, lane)
+	p.RunW.FlipLane(ff, lane)
 }
 
 func TestPanicIsolationBatched(t *testing.T) {
@@ -495,19 +497,19 @@ func TestPanicIsolationBatched(t *testing.T) {
 	}
 	tripFF := nffs / 2
 
-	clean64, err := NewAVRRun64(c, prog)
+	clean64, err := NewAVRRunW(c, prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := NewController(r, g)
 	baseline, _ := journalByIndex(t, ctl, CampaignConfig{Points: points}, clean64)
 
-	faulty64, err := NewAVRRun64(avr.NewCore(), prog)
+	faulty64, err := NewAVRRunW(avr.NewCore(), prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, res := journalByIndex(t, ctl, CampaignConfig{Points: points},
-		&panicRun64{Run64: faulty64, tripFF: tripFF})
+		&panicRunW{RunW: faulty64, tripFF: tripFF})
 
 	if res.ByOutcome[OutcomeHarnessError] != 1 {
 		t.Fatalf("harness errors = %d, want exactly 1 (%+v)", res.ByOutcome[OutcomeHarnessError], res)
@@ -522,6 +524,64 @@ func TestPanicIsolationBatched(t *testing.T) {
 		}
 		if rec != want {
 			t.Fatalf("lane %d disturbed by batch-mate panic: got %+v, want %+v", idx, rec, want)
+		}
+	}
+}
+
+// refusingRunW takes no checkpoint at all, like a device of another target
+// whose netlist happens to have the controller's shape.
+type refusingRunW struct{ RunW }
+
+func (refusingRunW) LoadCheckpoint(cp Checkpoint) {
+	panic(fmt.Sprintf("checkpoint type %T is not mine", cp))
+}
+
+// TestPoolRefusesForeignDevice: a device the campaign could only turn into
+// harness errors — another target's, or one that does not take the golden
+// checkpoints — is refused at the entry point, by pool index, before a
+// single point is classified or journaled. So are a nil device and an empty
+// pool.
+func TestPoolRefusesForeignDevice(t *testing.T) {
+	c, prog, g, r := goldenAVR(t)
+	ctl := NewController(r, g)
+	points := SampledFaultList(c.NL, g.HaltCycle, 40)
+	own, err := NewAVRRunW(c, prog, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := NewMSP430RunW(msp430.NewCore(), msp430.MustAssemble("halt"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pool []RunW
+		want string
+	}{
+		{"other target", []RunW{foreign}, "device 0"},
+		{"other target behind a good device", []RunW{own, foreign}, "device 1"},
+		{"refuses the checkpoint", []RunW{own, refusingRunW{own}}, "device 1"},
+		{"nil device", []RunW{own, nil}, "device 1"},
+		{"empty pool", nil, "at least one device"},
+	} {
+		path := filepath.Join(t.TempDir(), "verdicts.journal")
+		jw, err := journal.Create(path, ctl.JournalHeader(points))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ctl.RunCampaignBatchedPoolWithW(CampaignConfig{Points: points, Journal: jw}, tc.pool)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: result %+v, error %v; want an error naming %q", tc.name, res, err, tc.want)
+		}
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := journal.Recover(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.ByIndex) != 0 {
+			t.Errorf("%s: %d records journaled by a refused campaign", tc.name, len(rec.ByIndex))
 		}
 	}
 }

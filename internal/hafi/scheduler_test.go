@@ -121,10 +121,10 @@ func TestCancelAtHalfStopsEarly(t *testing.T) {
 	}
 }
 
-// bareRun64 hides every optional capability of the device it wraps: the
-// engine sees a Run64 and nothing else (no ImportLane, no CompactLanes), so
+// bareRunW hides every optional capability of the device it wraps: the
+// engine sees a RunW and nothing else (no ImportLane, no CompactLanes), so
 // it can refill golden lanes only and starts a sweep only without tails.
-type bareRun64 struct{ Run64 }
+type bareRunW struct{ RunW }
 
 // TestSchedulerGoldenLanesOnlyDevice: a capability-less device must journal
 // the same bytes as the full one and the same verdicts as the scalar engine.
@@ -142,17 +142,19 @@ func TestSchedulerGoldenLanesOnlyDevice(t *testing.T) {
 		raw, recs, _ := journalOf(t, ctl, CampaignConfig{Points: points}, exec)
 		return raw, recs
 	}
-	full64, err := NewAVRRun64(avr.NewCore(), prog)
+	full64, err := NewAVRRunW(avr.NewCore(), prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := AsRunW(bareRun64{full64}).(SuspendRunW); ok {
+	if _, ok := RunW(bareRunW{full64}).(SuspendRunW); ok {
 		t.Fatal("the bare double still exposes ImportLane")
 	}
 	_, scalar := journalBytes(func(cfg CampaignConfig) (*CampaignResult, error) { return ctl.RunCampaign(cfg) })
-	want, _ := journalBytes(func(cfg CampaignConfig) (*CampaignResult, error) { return ctl.RunCampaignBatched(cfg, full64) })
+	want, _ := journalBytes(func(cfg CampaignConfig) (*CampaignResult, error) {
+		return ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{full64})
+	})
 	got, recs := journalBytes(func(cfg CampaignConfig) (*CampaignResult, error) {
-		return ctl.RunCampaignBatched(cfg, bareRun64{full64})
+		return ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{bareRunW{full64}})
 	})
 	if !bytes.Equal(got, want) {
 		t.Fatal("the capability-less device journals different bytes than the full one")
@@ -229,7 +231,7 @@ func TestPanicIsolationScheduler(t *testing.T) {
 	onDevice := func(run RunW) (map[uint64]journal.Record, *CampaignResult) {
 		t.Helper()
 		_, recs, res := journalOf(t, ctl, CampaignConfig{Points: points}, func(cfg CampaignConfig) (*CampaignResult, error) {
-			return ctl.RunCampaignBatchedW(cfg, run)
+			return ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{run})
 		})
 		return recs, res
 	}
@@ -348,14 +350,14 @@ func TestImportLaneCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			return r
-		}, ffOf(aq, int(ac.Halted)), func(r RunW, lane int) interface{} { return r.(*avrRunW).sys.DMemLane(lane) }},
+		}, ffOf(aq, int(ac.Halted)), func(r RunW, lane int) interface{} { return r.(*wideRun[uint8]).dmemLane(lane) }},
 		{"msp430", NewMSP430Run(mc, mprog), func() RunW {
 			r, err := NewMSP430RunW(msp430.NewCore(), mprog, 256)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return r
-		}, ffOf(mq, int(mc.Halted)), func(r RunW, lane int) interface{} { return r.(*msp430RunW).sys.DMemLane(lane) }},
+		}, ffOf(mq, int(mc.Halted)), func(r RunW, lane int) interface{} { return r.(*wideRun[uint16]).dmemLane(lane) }},
 	}
 	for _, tg := range targets {
 		t.Run(tg.name, func(t *testing.T) {

@@ -22,16 +22,8 @@ func (r *avrRun) Halted() bool          { return r.sys.Halted() }
 func (r *avrRun) TraceEnv() sim.Env     { return r.sys.Env() }
 func (r *avrRun) AfterStep()            {}
 
-type avrCheckpoint struct {
-	ffs    []bool
-	inputs []bool
-	dmem   [1 << avr.DMemBits]uint8
-	digest uint64
-	cycle  int
-}
-
 func (r *avrRun) Checkpoint() Checkpoint {
-	return &avrCheckpoint{
+	return &checkpoint[uint8]{
 		ffs:    r.sys.M.FFState(),
 		inputs: r.sys.M.InputState(),
 		dmem:   r.sys.DMem,
@@ -41,7 +33,7 @@ func (r *avrRun) Checkpoint() Checkpoint {
 }
 
 func (r *avrRun) Restore(c Checkpoint) {
-	cp := c.(*avrCheckpoint)
+	cp := c.(*checkpoint[uint8])
 	r.sys.M.SetFFState(cp.ffs)
 	r.sys.M.SetInputState(cp.inputs)
 	r.sys.DMem = cp.dmem
@@ -52,7 +44,7 @@ func (r *avrRun) Restore(c Checkpoint) {
 func (r *avrRun) MemDigest() uint64 { return r.sys.WriteDigest }
 
 func (r *avrRun) Signature() uint64 {
-	return SignatureHash([]byte{r.sys.PortValue()}, r.sys.DMem[:])
+	return signature(r.sys.PortValue(), r.sys.DMem[:])
 }
 
 // msp430Run adapts an MSP430-class system to the Run interface.
@@ -72,16 +64,8 @@ func (r *msp430Run) Halted() bool          { return r.sys.Halted() }
 func (r *msp430Run) TraceEnv() sim.Env     { return r.sys.Env() }
 func (r *msp430Run) AfterStep()            {}
 
-type msp430Checkpoint struct {
-	ffs    []bool
-	inputs []bool
-	dmem   [1 << msp430.DMemBits]uint16
-	digest uint64
-	cycle  int
-}
-
 func (r *msp430Run) Checkpoint() Checkpoint {
-	return &msp430Checkpoint{
+	return &checkpoint[uint16]{
 		ffs:    r.sys.M.FFState(),
 		inputs: r.sys.M.InputState(),
 		dmem:   r.sys.DMem,
@@ -91,7 +75,7 @@ func (r *msp430Run) Checkpoint() Checkpoint {
 }
 
 func (r *msp430Run) Restore(c Checkpoint) {
-	cp := c.(*msp430Checkpoint)
+	cp := c.(*checkpoint[uint16])
 	r.sys.M.SetFFState(cp.ffs)
 	r.sys.M.SetInputState(cp.inputs)
 	r.sys.DMem = cp.dmem
@@ -102,21 +86,5 @@ func (r *msp430Run) Restore(c Checkpoint) {
 func (r *msp430Run) MemDigest() uint64 { return r.sys.WriteDigest }
 
 func (r *msp430Run) Signature() uint64 {
-	return signatureWords16(r.sys.PortValue(), r.sys.DMem[:])
-}
-
-// signatureWords16 folds a 16-bit port value and data words into the same
-// FNV-1a stream SignatureHash produces over their little-endian byte
-// expansion — without materialising that byte slice (the signature is
-// computed once per experiment, so the copy dominated the allocation
-// profile of MSP430 campaigns).
-func signatureWords16(port uint16, words []uint16) uint64 {
-	h := uint64(sigOffset64)
-	h = (h ^ uint64(port&0xff)) * sigPrime64
-	h = (h ^ uint64(port>>8)) * sigPrime64
-	for _, w := range words {
-		h = (h ^ uint64(w&0xff)) * sigPrime64
-		h = (h ^ uint64(w>>8)) * sigPrime64
-	}
-	return h
+	return signature(r.sys.PortValue(), r.sys.DMem[:])
 }

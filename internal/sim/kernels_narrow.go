@@ -1,17 +1,157 @@
 package sim
 
 // Code in this file mirrors evalProgram4 (machinew.go) at narrower active
-// widths. The batched campaign engine compacts retired lanes out of a
-// batch (MachineW.CompactLanes), so a 256-lane machine spends the tail of
-// every batch with only one or two live groups — these kernels keep that
-// tail on unrolled straight-line code instead of the generic per-group
-// fallback. They read the same resolved program through the same
-// four-word views and touch only words below their group count; rerunning
-// the 4-wide kernel at three groups instead measured +4 % on avr-fib-seu.
-// Edit evalProgram4 first and keep these in lockstep; the cross-width
-// property tests (machinew_test.go, resolved_test.go) pin the equivalence.
+// widths: narrower devices, and a 256-lane device the campaign scheduler
+// has compacted (MachineW.CompactLanes) down to the last hang candidates
+// of a drained plan. evalProgram runs one group over the index program;
+// evalProgram2/3 read the same resolved program as evalProgram4 through
+// the same four-word views and touch only words below their group count
+// (rerunning the 4-wide kernel at three groups instead measured +4 % on
+// avr-fib-seu). Edit evalProgram4 first and keep these in lockstep; the
+// cross-width property tests (machinew_test.go, resolved_test.go) pin the
+// equivalence.
 
 import "repro/internal/cell"
+
+// evalProgram is the one-group (64-lane) dense kernel over the index
+// program: one switch dispatch per run, then a tight specialized loop over
+// the span. A 64-lane machine runs it every step, a wider one once
+// compaction has left it a single active group.
+func evalProgram(ops []op64, runs []opRun, v []uint64) {
+	for _, r := range runs {
+		seg := ops[r.start:r.end]
+		switch r.kind {
+		case cell.TIE0:
+			for i := range seg {
+				v[seg[i].out] = 0
+			}
+		case cell.TIE1:
+			for i := range seg {
+				v[seg[i].out] = ^uint64(0)
+			}
+		case cell.BUF:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = v[o.in[0]]
+			}
+		case cell.INV:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^v[o.in[0]]
+			}
+		case cell.AND2:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = v[o.in[0]] & v[o.in[1]]
+			}
+		case cell.AND3:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = v[o.in[0]] & v[o.in[1]] & v[o.in[2]]
+			}
+		case cell.AND4:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = v[o.in[0]] & v[o.in[1]] & v[o.in[2]] & v[o.in[3]]
+			}
+		case cell.NAND2:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^(v[o.in[0]] & v[o.in[1]])
+			}
+		case cell.NAND3:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^(v[o.in[0]] & v[o.in[1]] & v[o.in[2]])
+			}
+		case cell.NAND4:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^(v[o.in[0]] & v[o.in[1]] & v[o.in[2]] & v[o.in[3]])
+			}
+		case cell.OR2:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = v[o.in[0]] | v[o.in[1]]
+			}
+		case cell.OR3:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = v[o.in[0]] | v[o.in[1]] | v[o.in[2]]
+			}
+		case cell.OR4:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = v[o.in[0]] | v[o.in[1]] | v[o.in[2]] | v[o.in[3]]
+			}
+		case cell.NOR2:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^(v[o.in[0]] | v[o.in[1]])
+			}
+		case cell.NOR3:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^(v[o.in[0]] | v[o.in[1]] | v[o.in[2]])
+			}
+		case cell.NOR4:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^(v[o.in[0]] | v[o.in[1]] | v[o.in[2]] | v[o.in[3]])
+			}
+		case cell.XOR2:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = v[o.in[0]] ^ v[o.in[1]]
+			}
+		case cell.XNOR2:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^(v[o.in[0]] ^ v[o.in[1]])
+			}
+		case cell.MUX2:
+			// a ^ (s & (a^b)): one op fewer than (^s&a)|(s&b), and MUX2 is
+			// the most common cell on both cores.
+			for i := range seg {
+				o := &seg[i]
+				a := v[o.in[0]]
+				v[o.out] = a ^ (v[o.in[2]] & (a ^ v[o.in[1]]))
+			}
+		case cell.AOI21:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^((v[o.in[0]] & v[o.in[1]]) | v[o.in[2]])
+			}
+		case cell.AOI22:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^((v[o.in[0]] & v[o.in[1]]) | (v[o.in[2]] & v[o.in[3]]))
+			}
+		case cell.OAI21:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^((v[o.in[0]] | v[o.in[1]]) & v[o.in[2]])
+			}
+		case cell.OAI22:
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = ^((v[o.in[0]] | v[o.in[1]]) & (v[o.in[2]] | v[o.in[3]]))
+			}
+		case cell.MAJ3:
+			for i := range seg {
+				o := &seg[i]
+				a, b, c := v[o.in[0]], v[o.in[1]], v[o.in[2]]
+				v[o.out] = (a & b) | (a & c) | (b & c)
+			}
+		default:
+			// Generic fallback: Shannon expansion over the truth table.
+			for i := range seg {
+				o := &seg[i]
+				v[o.out] = evalOpG(o, v, 0)
+			}
+		}
+	}
+}
 
 // evalProgram2 is the two-group (128-lane) dense kernel.
 func evalProgram2(ops []op64, rops []opR, runs []opRun, v []uint64) {

@@ -285,29 +285,39 @@ func TestLookupBusROMBounds(t *testing.T) {
 	}
 }
 
-// TestLookupBusImportedWave: lanes migrate by ImportLane into a Reset
-// machine, which is then compacted; the imported lanes carry their own
-// addresses, the rest the reset state.
+// TestLookupBusImportedWave: lanes are loaded one at a time by
+// LoadStateLane (the scheduler's per-lane refill) into a Reset machine,
+// which is then compacted; the loaded lanes carry their own addresses, the
+// rest the reset state. A lane loaded after the compaction, just past the
+// live ones, is served as well.
 func TestLookupBusImportedWave(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rom := randomROM(rng, 256)
 	donor, src, dst := busMachine(t, 2, 16, 16)
 	pool := distinctAddrs(rng, 9, 0, len(rom)*3/2)
 	scatterClusters(donor, src, dst, rng, pool, func(int) int { return rng.Intn(len(pool)) })
+	load := func(m *MachineW, lane int) {
+		m.LoadStateLane(lane, nil, donor.InputStateLane(rng.Intn(donor.NumLanes())))
+	}
 
 	for _, n := range []int{5, 64, 100, 200, 256} {
 		m, _, _ := busMachine(t, 4, 16, 16)
 		m.Reset()
-		state := make([]uint64, donor.LaneWireWords())
 		for i := 0; i < n; i++ {
-			donor.ExportLane(rng.Intn(donor.NumLanes()), state)
-			m.ImportLane(i, state)
+			load(m, i)
 		}
-		if ng := (n + 63) / 64; ng < m.W {
+		compacted := (n+63)/64 < m.W
+		if compacted {
 			m.CompactLanes(firstLanes(n))
 		}
 		if !checkLookup(t, m, src, dst, rom) {
 			t.Fatalf("wave of %d lanes over %d addresses not served", n, len(pool))
+		}
+		if compacted && n < m.ActiveLanes() {
+			load(m, n)
+			if m.LiveLanes() != n+1 || !checkLookup(t, m, src, dst, rom) {
+				t.Fatalf("lane %d revived after compaction not served (%d live)", n, m.LiveLanes())
+			}
 		}
 	}
 }

@@ -8,16 +8,20 @@ import (
 	"repro/internal/netlist"
 )
 
-// MachineW is the width-parameterized wide-word machine: every wire
-// carries W uint64 lane words (64·W lanes total), so one combinational
-// pass advances 64·W circuit instances. Machine64 is the W=1
-// instantiation; the batched campaign engine runs W=4 (256 lanes) by
-// default.
+// MachineW is the lane-parallel gate-level simulator: every wire carries W
+// uint64 lane words whose bit l is the wire's value in lane 64g+l, so one
+// combinational pass advances 64·W circuit instances — the classic
+// parallel fault-simulation technique, playing the role of the paper's
+// hardware parallelism ("one FI controller distributes the FI campaign
+// over several FPGAs"). All lanes share the netlist; they diverge only
+// through per-lane state (flip-flops, primary inputs) — exactly what a
+// fault injection needs. W=1 (64 lanes) is a width like any other; the
+// campaign front-ends run W=4 (256 lanes) by default.
 //
 // Layout: values is wire-major with stride W — values[int(w)*W+g] is lane
 // group g (lanes 64g..64g+63) of wire w. The evaluation program indices
-// are pre-scaled by W at construction, so the W=1 program is bit-for-bit
-// the classic Machine64 program. For W >= 2 a second, resolved program
+// are pre-scaled by W at construction, so one group runs the plain index
+// program (evalProgram) at any stride. For W >= 2 a second, resolved program
 // (rops) holds every operand as a pointer into values, taken once at
 // construction: the unrolled kernels then read o.in[0][g] with no index
 // arithmetic and no bounds check per cycle.
@@ -54,14 +58,6 @@ type MachineW struct {
 	envROps []opR
 	envRuns []opRun
 
-	// envWrites/envCone/envOpFlag record the SetEnvWrites declaration for
-	// the cone-delta engine: the flattened written wires, the per-wire
-	// (scaled index) downstream-cone membership, and the per-op membership
-	// aligned with ops.
-	envWrites []netlist.WireID
-	envCone   []bool
-	envOpFlag []bool
-
 	ffD, ffQ   []int32 // unscaled wire ids (golden-row lookups)
 	ffDs, ffQs []int32 // pre-scaled (wire*W)
 	// Exactly one of the two is non-nil: ffNext (len FFs*W) stages the
@@ -74,6 +70,44 @@ type MachineW struct {
 	// LookupBus's back-off counter.
 	unserved, same, sub []uint64
 	lookupSkip          int
+}
+
+// DeltaState is what is left of the cone-delta evaluator: an empty type
+// that bench/trace.go names in hafi.DeltaRunW's InitDelta. It is deleted
+// with that interface.
+type DeltaState struct{}
+
+// op64 is one gate in the flattened bitwise evaluation program. In a
+// width-W program the out/in indices are pre-scaled by W.
+type op64 struct {
+	kind    cell.Kind
+	tt      uint32
+	out     int32
+	in      [4]int32
+	numPins int8
+	level   int32
+}
+
+// opRun is a contiguous span of same-kind ops in an evaluation program.
+type opRun struct {
+	kind       cell.Kind
+	start, end int32
+}
+
+// buildRuns splits an ordered op program into contiguous same-kind spans.
+func buildRuns(ops []op64) []opRun {
+	// In-run order follows the (level, kind) sort, so a span may cross a
+	// level boundary and still respect dependencies.
+	var runs []opRun
+	for i := 0; i < len(ops); {
+		j := i + 1
+		for j < len(ops) && ops[j].kind == ops[i].kind {
+			j++
+		}
+		runs = append(runs, opRun{kind: ops[i].kind, start: int32(i), end: int32(j)})
+		i = j
+	}
+	return runs
 }
 
 // opR is one gate of the resolved program: the operands of ops[i] as
@@ -106,8 +140,7 @@ func (m *MachineW) resolve(ops []op64) []opR {
 	return rops
 }
 
-// NewMachineW creates a 64·W-lane machine and resets it. w must be >= 1;
-// w=1 reproduces Machine64 exactly (same program, same layout).
+// NewMachineW creates a 64·W-lane machine and resets it. w must be >= 1.
 func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("sim: machine width %d out of range (want >= 1)", w)
@@ -233,10 +266,8 @@ func (m *MachineW) LaneWireWords() int { return (m.NL.NumWires() + 63) / 64 }
 
 // ExportLane copies one lane's complete wire state (flip-flops, primary
 // inputs and settled combinational values alike) into dst, one bit per
-// wire (len(dst) >= LaneWireWords()). Together with ImportLane it lets a
-// lane migrate between wide machines of the same netlist — the campaign
-// engine uses this to pull long-running straggler lanes out of nearly
-// drained batches and finish them together in one packed device.
+// wire (len(dst) >= LaneWireWords()) — the Trace.Row format, which is how
+// the wide golden recording takes its trace rows.
 func (m *MachineW) ExportLane(lane int, dst []uint64) {
 	w, g, sh := m.W, lane>>6, uint(lane)&63
 	nw := m.NL.NumWires()
@@ -248,7 +279,7 @@ func (m *MachineW) ExportLane(lane int, dst []uint64) {
 	}
 }
 
-// reviveLane is the contract of the one-lane loads: the lane lies inside the
+// reviveLane is the contract of the one-lane load: the lane lies inside the
 // active groups, and one CompactLanes left dead carries an experiment again
 // afterwards (the memory environment serves lanes below LiveLanes() only).
 func (m *MachineW) reviveLane(lane int) {
@@ -256,21 +287,6 @@ func (m *MachineW) reviveLane(lane int) {
 		panic("sim: one-lane load outside the active groups")
 	}
 	m.live = max(m.live, lane+1)
-}
-
-// ImportLane drives one lane's complete wire state from an ExportLane
-// snapshot (possibly taken on a machine of a different width); other lanes
-// are untouched (see reviveLane for the lane contract). Because the
-// snapshot holds settled values, the imported lane is consistent without a
-// Settle — exactly as the exporting machine left it.
-func (m *MachineW) ImportLane(lane int, src []uint64) {
-	m.reviveLane(lane)
-	w, g := m.W, lane>>6
-	bit := uint64(1) << (uint(lane) & 63)
-	nw := m.NL.NumWires()
-	for wi := 0; wi < nw; wi++ {
-		m.setLaneBit(wi*w+g, bit, src[wi>>6]>>(uint(wi)&63)&1 == 1)
-	}
 }
 
 // LoadStateLane is LoadState plus LoadInputs restricted to one lane: the
@@ -405,33 +421,24 @@ func (m *MachineW) SetEnvWrites(wires ...[]netlist.WireID) {
 	// inCone is indexed by the pre-scaled wire index (wire*W), matching the
 	// op program, so the same code serves every width.
 	inCone := make([]bool, m.NL.NumWires()*m.W)
-	m.envWrites = m.envWrites[:0]
 	for _, ws := range wires {
 		for _, w := range ws {
 			inCone[int(w)*m.W] = true
-			m.envWrites = append(m.envWrites, w)
 		}
 	}
 	m.envOps = nil
-	m.envOpFlag = make([]bool, len(m.ops))
 	for i := range m.ops {
 		o := &m.ops[i]
-		hit := false
 		for p := 0; p < int(o.numPins); p++ {
 			if inCone[o.in[p]] {
-				hit = true
+				inCone[o.out] = true
+				m.envOps = append(m.envOps, *o)
 				break
 			}
-		}
-		if hit {
-			inCone[o.out] = true
-			m.envOpFlag[i] = true
-			m.envOps = append(m.envOps, *o)
 		}
 	}
 	m.envROps = m.resolve(m.envOps)
 	m.envRuns = buildRuns(m.envOps)
-	m.envCone = inCone
 }
 
 // EnvConeSize reports how many gates the restricted second settle pass
@@ -576,11 +583,10 @@ func (m *MachineW) ReadBusLane(bus []netlist.WireID, lane int) uint64 {
 }
 
 // evalProgramW dispatches the dense kernel for the active group count:
-// the classic 64-lane program at one group (indices are pre-scaled by W,
-// so it evaluates group 0 correctly at any stride), hand-unrolled kernels
-// for two to four groups, and a generic per-group loop beyond that. After
-// lane compaction a wide machine walks down this ladder as its batch
-// drains.
+// the index program at one group (indices are pre-scaled by W, so it
+// evaluates group 0 correctly at any stride), hand-unrolled kernels for
+// two to four groups, and a generic per-group loop beyond that. After
+// lane compaction a draining device walks down this ladder.
 func evalProgramW(ops []op64, rops []opR, runs []opRun, v []uint64, w int) {
 	switch w {
 	case 1:
@@ -617,9 +623,9 @@ func evalOpG(o *op64, v []uint64, g int32) uint64 {
 	return evalOpWords(o, &in)
 }
 
-// evalOpWords evaluates one op given its input lane words — the shared
-// single-word gate kernel used by the generic dense path and the
-// cone-delta evaluator.
+// evalOpWords evaluates one op given its input lane words — the
+// single-word gate kernel of the generic dense path and of every kernel's
+// truth-table fallback.
 func evalOpWords(o *op64, in *[4]uint64) uint64 {
 	switch o.kind {
 	case cell.TIE0:

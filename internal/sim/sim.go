@@ -31,15 +31,18 @@ func (f EnvFunc) SetInputs(m *Machine) { f(m) }
 // NopEnv leaves all primary inputs at their previous values.
 var NopEnv Env = EnvFunc(func(*Machine) {})
 
-// Machine simulates one netlist instance. The zero value is not usable;
-// create machines with New.
+// Machine simulates one netlist instance, one bool per wire. It is the
+// independent oracle: the scalar golden recording, the sequential
+// Controller.RunCampaign and the differential suites run on it, and it
+// shares no evaluation code with MachineW; nothing on the wide campaign
+// path uses it. The zero value is not usable; create machines with New.
 type Machine struct {
 	NL     *netlist.Netlist
 	Cycle  int
 	values []bool
 
 	// ops is the flattened evaluation program in topological order. The
-	// common library cells are dispatched by kind (like Machine64); the
+	// common library cells are dispatched by kind (like MachineW); the
 	// truth table backs the generic fallback and EvalCombForced.
 	ops []scalarOp
 
@@ -123,7 +126,7 @@ func (m *Machine) WriteBus(bus []netlist.WireID, v uint64) {
 }
 
 // EvalComb evaluates all gates once in topological order, dispatching the
-// library cells by kind (mirroring Machine64.EvalComb) with a truth-table
+// library cells by kind (mirroring MachineW.EvalComb) with a truth-table
 // fallback for anything else. This runs twice per cycle in every
 // experiment, so the common cells avoid the per-pin bit-probe loop.
 func (m *Machine) EvalComb() {

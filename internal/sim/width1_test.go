@@ -8,16 +8,16 @@ import (
 	"repro/internal/netlist"
 )
 
-// TestMachine64MatchesScalarRandom: a Machine64 with all lanes driven by
+// TestWidth1MatchesScalarRandom: a W=1 machine with all lanes driven by
 // the same inputs must agree with the scalar machine on every wire, every
 // cycle, for random circuits and stimuli. Additionally, lanes driven with
 // per-lane inputs must each match their own scalar reference.
-func TestMachine64MatchesScalarRandom(t *testing.T) {
+func TestWidth1MatchesScalarRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 10; trial++ {
 		nl := randomSyncCircuit(rng)
 		scalar := New(nl)
-		wide, err := NewMachine64(nl)
+		wide, err := NewMachineW(nl, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestMachine64MatchesScalarRandom(t *testing.T) {
 			wide.EvalComb()
 			for w := 0; w < nl.NumWires(); w++ {
 				want := scalar.Value(netlist.WireID(w))
-				lanes := wide.Lanes(netlist.WireID(w))
+				lanes := wide.LaneWord(netlist.WireID(w), 0)
 				if want && lanes != ^uint64(0) || !want && lanes != 0 {
 					t.Fatalf("trial %d cycle %d wire %s: scalar %v lanes %016x",
 						trial, cyc, nl.WireName(netlist.WireID(w)), want, lanes)
@@ -44,9 +44,9 @@ func TestMachine64MatchesScalarRandom(t *testing.T) {
 	}
 }
 
-// TestMachine64LaneIsolation: flipping a flip-flop in lane 5 must change
+// TestWidth1LaneIsolation: flipping a flip-flop in lane 5 must change
 // lane 5 only; all other lanes keep tracking the scalar reference.
-func TestMachine64LaneIsolation(t *testing.T) {
+func TestWidth1LaneIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	nl := randomSyncCircuit(rng)
 	if len(nl.FFs) == 0 {
@@ -54,7 +54,7 @@ func TestMachine64LaneIsolation(t *testing.T) {
 	}
 	scalar := New(nl)
 	faulty := New(nl)
-	wide, err := NewMachine64(nl)
+	wide, err := NewMachineW(nl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMachine64LaneIsolation(t *testing.T) {
 		faulty.Settle(NopEnv)
 		wide.Settle(nil)
 		for w := 0; w < nl.NumWires(); w++ {
-			lanes := wide.Lanes(netlist.WireID(w))
+			lanes := wide.LaneWord(netlist.WireID(w), 0)
 			for l := 0; l < 64; l++ {
 				got := lanes>>uint(l)&1 == 1
 				var want bool
@@ -103,25 +103,25 @@ func TestMachine64LaneIsolation(t *testing.T) {
 	}
 }
 
-func TestMachine64Helpers(t *testing.T) {
+func TestWidth1Helpers(t *testing.T) {
 	b := netlist.NewBuilder("helpers")
 	in := b.Input("in")
 	q := b.FF("q", in, true, "")
 	out := b.Gate(cell.INV, q)
 	b.MarkOutput(out)
 	nl := b.MustNetlist()
-	m, err := NewMachine64(nl)
+	m, err := NewMachineW(nl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Lanes(q) != ^uint64(0) {
+	if m.LaneWord(q, 0) != ^uint64(0) {
 		t.Fatal("init not broadcast")
 	}
 	m.Broadcast(in, true)
-	if m.Lanes(in) != ^uint64(0) {
+	if m.LaneWord(in, 0) != ^uint64(0) {
 		t.Fatal("broadcast failed")
 	}
-	m.SetLanes(in, 0xF0F0)
+	m.SetLaneWord(in, 0, 0xF0F0)
 	m.EvalComb()
 	bus := []netlist.WireID{in, q}
 	if got := m.ReadBusLane(bus, 4); got != 0b11 {
@@ -131,14 +131,14 @@ func TestMachine64Helpers(t *testing.T) {
 		t.Fatalf("lane 0 bus = %b", got)
 	}
 	m.Reset()
-	if m.Cycle != 0 || m.Lanes(in) != 0 {
+	if m.Cycle != 0 || m.LaneWord(in, 0) != 0 {
 		t.Fatal("reset failed")
 	}
 }
 
-// TestMachine64GenericFallback: force the generic truth-table evaluator by
+// TestWidth1GenericFallback: force the generic truth-table evaluator by
 // comparing it against the direct implementations for every library cell.
-func TestMachine64GenericFallback(t *testing.T) {
+func TestWidth1GenericFallback(t *testing.T) {
 	for _, c := range cell.All() {
 		n := c.NumInputs()
 		if n == 0 {
@@ -152,7 +152,7 @@ func TestMachine64GenericFallback(t *testing.T) {
 		out := b.Gate(c.Kind, ins...)
 		b.MarkOutput(out)
 		nl := b.MustNetlist()
-		m, err := NewMachine64(nl)
+		m, err := NewMachineW(nl, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +164,13 @@ func TestMachine64GenericFallback(t *testing.T) {
 					plane |= 1 << uint(l)
 				}
 			}
-			m.SetLanes(ins[p], plane)
+			m.SetLaneWord(ins[p], 0, plane)
 		}
 		m.EvalComb()
-		direct := m.Lanes(out)
-		generic := evalGeneric(&m.ops[len(m.ops)-1], m.values)
+		direct := m.LaneWord(out, 0)
+		o := m.ops[len(m.ops)-1]
+		o.kind = unknownKind // no kernel case: Shannon expansion over o.tt
+		generic := evalOpG(&o, m.values, 0)
 		if direct != generic {
 			t.Errorf("%s: direct %016x != generic %016x", c.Name, direct, generic)
 		}
@@ -181,6 +183,9 @@ func TestMachine64GenericFallback(t *testing.T) {
 		}
 	}
 }
+
+// unknownKind is a cell kind no kernel has a case for.
+const unknownKind = cell.Kind(255)
 
 // randomSyncCircuit builds a random synchronous circuit (shared with the
 // scalar tests' style).

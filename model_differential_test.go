@@ -108,32 +108,18 @@ func TestDifferentialFaultModels(t *testing.T) {
 					return hafi.NewController(c.NewRun(prog), golden).RunCampaign(cfg)
 				}},
 				{"batched-early", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					run64, err := c.NewRun64(prog)
-					if err != nil {
-						return nil, err
-					}
-					return ctl.RunCampaignBatched(cfg, run64)
+					return runPool64(c, prog, golden, cfg, 1)
 				}},
 				{"batched-full", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 					cfg.DisableEarlyExit = true
-					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					run64, err := c.NewRun64(prog)
-					if err != nil {
-						return nil, err
-					}
-					return ctl.RunCampaignBatched(cfg, run64)
+					return runPool64(c, prog, golden, cfg, 1)
 				}},
 				{"pooled-early", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-					cfg.Workers = runtime.NumCPU()
-					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					return ctl.RunCampaignBatchedPool(cfg, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+					return runPool64(c, prog, golden, cfg, runtime.NumCPU())
 				}},
 				{"pooled-full", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-					cfg.Workers = runtime.NumCPU()
 					cfg.DisableEarlyExit = true
-					ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-					return ctl.RunCampaignBatchedPool(cfg, func() (hafi.Run64, error) { return c.NewRun64(prog) })
+					return runPool64(c, prog, golden, cfg, runtime.NumCPU())
 				}},
 			}
 
