@@ -53,7 +53,7 @@ func main() {
 	validate := flag.Bool("validate", false, "re-execute pruned points and verify benignity")
 	noRF := flag.Bool("norf", false, "exclude the register file from the fault list")
 	sequential := flag.Bool("sequential", false, "use the sequential controller instead of the lane-parallel batched engine")
-	lanes := flag.Int("lanes", hafi.DefaultCampaignLanes, "lanes per batched device instance (positive multiple of 64)")
+	lanes := flag.Int("lanes", hafi.DefaultCampaignLanes, "lanes per batched device instance (positive multiple of 64, at most 65536)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shard the campaign over this many device instances (>= 1)")
 	noEarlyExit := flag.Bool("no-early-exit", false, "disable the golden-state convergence early-exit (every experiment runs to halt or timeout)")
 	strict := flag.Bool("strict", false, "preflight lint: treat warnings as failures")

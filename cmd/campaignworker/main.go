@@ -38,7 +38,7 @@ func main() {
 	name := flag.String("name", "", "worker name in coordinator logs (default host-pid)")
 	dir := flag.String("dir", "", "scratch directory for in-progress shard journals (default: a temp dir)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "local lane-parallel device instances per shard (>= 1)")
-	lanes := flag.Int("lanes", hafi.DefaultCampaignLanes, "lanes per device instance (positive multiple of 64)")
+	lanes := flag.Int("lanes", hafi.DefaultCampaignLanes, "lanes per device instance (positive multiple of 64, at most 65536)")
 	throttle := flag.Duration("throttle", 0, "sleep this long after every classified point (testing lever for straggler detection)")
 	obsOpts := obs.RegisterFlags(flag.CommandLine)
 	obsOpts.Component = "campaignworker"

@@ -194,14 +194,6 @@ func assignmentMasks(c *Cell, faulty, mask, value uint32) bool {
 	return true
 }
 
-// HasMaskingCapability reports whether the cell can mask at least one
-// faulty-pin set with a non-trivial term, i.e. whether the gate is of any
-// use to the MATE search. XOR/XNOR gates and buffers/inverters return
-// false: a fault always propagates through them.
-func HasMaskingCapability(c *Cell, faulty uint32) bool {
-	return len(MaskingTerms(c, faulty)) > 0
-}
-
 func popcount(v uint32) int {
 	n := 0
 	for ; v != 0; v &= v - 1 {

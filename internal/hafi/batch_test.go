@@ -1,6 +1,7 @@
 package hafi
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -173,6 +174,49 @@ func TestBatchedPoolMatchesSequential(t *testing.T) {
 	for _, o := range []Outcome{OutcomeBenign, OutcomeSDC, OutcomeHang} {
 		if seq.ByOutcome[o] != pool.ByOutcome[o] {
 			t.Errorf("%s: sequential %d, pooled %d", o, seq.ByOutcome[o], pool.ByOutcome[o])
+		}
+	}
+}
+
+// TestLaneCountBound: lane compaction carries lane indices as uint16, so a
+// device of more than 65 536 lanes would compact the wrong lanes silently.
+// The constructor both targets share refuses it and names the limit.
+func TestLaneCountBound(t *testing.T) {
+	prog := avr.MustAssemble("halt")
+	for _, lanes := range []int{65600, 1 << 20, 0, -64, 100} {
+		if _, err := NewAVRRunW(avr.NewCore(), prog, lanes); err == nil {
+			t.Errorf("AVR device of %d lanes was built", lanes)
+		} else if !strings.Contains(err.Error(), "65536") {
+			t.Errorf("lanes=%d: error does not name the limit: %v", lanes, err)
+		}
+	}
+	if _, err := NewMSP430RunW(msp430.NewCore(), msp430.MustAssemble("halt"), 65600); err == nil {
+		t.Error("MSP430 device of 65600 lanes was built")
+	}
+	for _, lanes := range []int{64, 128, 256} {
+		if r, err := NewAVRRunW(avr.NewCore(), prog, lanes); err != nil || r.Lanes() != lanes {
+			t.Errorf("lanes=%d: %v", lanes, err)
+		}
+	}
+}
+
+// TestDevicesNeedNoFallbackKernel: the unrolled gate kernels have a case for
+// the nine cell kinds internal/synth builds the cores from and send any
+// other kind through the reference kernel. A synthesis change that brings a
+// tenth kind into a core has to fail here, not run slow unnoticed. (That the
+// counter counts is sim.TestResolvedKernelsMatchGeneric's business.)
+func TestDevicesNeedNoFallbackKernel(t *testing.T) {
+	a, err := NewAVRRunW(avr.NewCore(), avr.MustAssemble("halt"), DefaultCampaignLanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMSP430RunW(msp430.NewCore(), msp430.MustAssemble("halt"), DefaultCampaignLanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]RunW{"avr": a, "msp430": m} {
+		if n := r.MachW().FallbackOps(); n != 0 {
+			t.Errorf("%s: %d gates run on the fallback kernel, want 0", name, n)
 		}
 	}
 }

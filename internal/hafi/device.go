@@ -121,9 +121,13 @@ type wideRun[T ~uint8 | ~uint16] struct {
 	port   []netlist.WireID
 }
 
+// maxLanes bounds a device: lane compaction (CompactRunW.CompactLanes, the
+// scheduler's compactTails) carries lane indices as uint16.
+const maxLanes = 1 << 16
+
 func newWideRun[T ~uint8 | ~uint16](nl *netlist.Netlist, ports sim.MemoryPorts, halted netlist.WireID, port []netlist.WireID, prog []uint16, lanes int) (RunW, error) {
-	if lanes <= 0 || lanes%64 != 0 {
-		return nil, fmt.Errorf("hafi: lane count %d must be a positive multiple of 64", lanes)
+	if lanes <= 0 || lanes%64 != 0 || lanes > maxLanes {
+		return nil, fmt.Errorf("hafi: lane count %d must be a positive multiple of 64, at most %d", lanes, maxLanes)
 	}
 	m, err := sim.NewMachineW(nl, lanes/64)
 	if err != nil {

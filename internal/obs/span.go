@@ -169,10 +169,3 @@ func (s *Span) End() time.Duration {
 	}
 	return d
 }
-
-// Timed runs fn inside a span named name.
-func (r *Registry) Timed(name string, fn func()) {
-	sp := r.StartSpan(name)
-	fn()
-	sp.End()
-}

@@ -1,162 +1,91 @@
 package sim
 
-// Code in this file mirrors evalProgram4 (machinew.go) at narrower active
-// widths: narrower devices, and a 256-lane device the campaign scheduler
-// has compacted (MachineW.CompactLanes) down to the last hang candidates
-// of a drained plan. evalProgram runs one group over the index program;
-// evalProgram2/3 read the same resolved program as evalProgram4 through
-// the same four-word views and touch only words below their group count
-// (rerunning the 4-wide kernel at three groups instead measured +4 % on
-// avr-fib-seu). Edit evalProgram4 first and keep these in lockstep; the
-// cross-width property tests (machinew_test.go, resolved_test.go) pin the
-// equivalence.
+// The kernels below are evalProgram4 (machinew.go) at fewer active groups:
+// narrower devices, and a 256-lane device the campaign scheduler has
+// compacted (MachineW.CompactLanes) down to the last hang candidates of a
+// drained plan. All four read the same resolved program through the same
+// four-word views and touch only the words below their group count; they
+// stay distinct machine code because running the four-group kernel at three
+// groups measured +4 % on avr-fib-seu, and a W=2 or W=3 machine has no
+// fourth word to run it on.
+//
+// Each has a case for the nine kinds of kernelKinds and nothing else — the
+// cells internal/synth builds the AVR and MSP430 cores from — and hands
+// every other span to evalProgramN, where the library lives (evalOpWords).
+// A new op form is therefore four cases of a few lines, in lockstep with
+// evalProgram4; TestWidth1GenericFallback checks every body against the
+// cell truth tables, TestResolvedKernelsMatchGeneric against evalProgramN.
 
 import "repro/internal/cell"
 
-// evalProgram is the one-group (64-lane) dense kernel over the index
-// program: one switch dispatch per run, then a tight specialized loop over
-// the span. A 64-lane machine runs it every step, a wider one once
-// compaction has left it a single active group.
-func evalProgram(ops []op64, runs []opRun, v []uint64) {
-	for _, r := range runs {
-		seg := ops[r.start:r.end]
+// evalProgram is the one-group (64-lane) kernel: what a 64-lane machine
+// runs every step, a wider one once compaction has left it a single group.
+func evalProgram(p *program) {
+	for _, r := range p.runs {
+		seg := p.rops[r.start:r.end]
 		switch r.kind {
 		case cell.TIE0:
 			for i := range seg {
-				v[seg[i].out] = 0
+				d := seg[i].out
+				d[0] = 0
 			}
 		case cell.TIE1:
 			for i := range seg {
-				v[seg[i].out] = ^uint64(0)
-			}
-		case cell.BUF:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = v[o.in[0]]
+				d := seg[i].out
+				d[0] = ^uint64(0)
 			}
 		case cell.INV:
 			for i := range seg {
 				o := &seg[i]
-				v[o.out] = ^v[o.in[0]]
+				a, d := o.in[0], o.out
+				d[0] = ^a[0]
 			}
 		case cell.AND2:
 			for i := range seg {
 				o := &seg[i]
-				v[o.out] = v[o.in[0]] & v[o.in[1]]
-			}
-		case cell.AND3:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = v[o.in[0]] & v[o.in[1]] & v[o.in[2]]
-			}
-		case cell.AND4:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = v[o.in[0]] & v[o.in[1]] & v[o.in[2]] & v[o.in[3]]
-			}
-		case cell.NAND2:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^(v[o.in[0]] & v[o.in[1]])
-			}
-		case cell.NAND3:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^(v[o.in[0]] & v[o.in[1]] & v[o.in[2]])
-			}
-		case cell.NAND4:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^(v[o.in[0]] & v[o.in[1]] & v[o.in[2]] & v[o.in[3]])
+				a, b, d := o.in[0], o.in[1], o.out
+				d[0] = a[0] & b[0]
 			}
 		case cell.OR2:
 			for i := range seg {
 				o := &seg[i]
-				v[o.out] = v[o.in[0]] | v[o.in[1]]
-			}
-		case cell.OR3:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = v[o.in[0]] | v[o.in[1]] | v[o.in[2]]
-			}
-		case cell.OR4:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = v[o.in[0]] | v[o.in[1]] | v[o.in[2]] | v[o.in[3]]
-			}
-		case cell.NOR2:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^(v[o.in[0]] | v[o.in[1]])
-			}
-		case cell.NOR3:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^(v[o.in[0]] | v[o.in[1]] | v[o.in[2]])
-			}
-		case cell.NOR4:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^(v[o.in[0]] | v[o.in[1]] | v[o.in[2]] | v[o.in[3]])
+				a, b, d := o.in[0], o.in[1], o.out
+				d[0] = a[0] | b[0]
 			}
 		case cell.XOR2:
 			for i := range seg {
 				o := &seg[i]
-				v[o.out] = v[o.in[0]] ^ v[o.in[1]]
+				a, b, d := o.in[0], o.in[1], o.out
+				d[0] = a[0] ^ b[0]
 			}
 		case cell.XNOR2:
 			for i := range seg {
 				o := &seg[i]
-				v[o.out] = ^(v[o.in[0]] ^ v[o.in[1]])
+				a, b, d := o.in[0], o.in[1], o.out
+				d[0] = ^(a[0] ^ b[0])
 			}
 		case cell.MUX2:
-			// a ^ (s & (a^b)): one op fewer than (^s&a)|(s&b), and MUX2 is
-			// the most common cell on both cores.
 			for i := range seg {
 				o := &seg[i]
-				a := v[o.in[0]]
-				v[o.out] = a ^ (v[o.in[2]] & (a ^ v[o.in[1]]))
-			}
-		case cell.AOI21:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^((v[o.in[0]] & v[o.in[1]]) | v[o.in[2]])
-			}
-		case cell.AOI22:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^((v[o.in[0]] & v[o.in[1]]) | (v[o.in[2]] & v[o.in[3]]))
-			}
-		case cell.OAI21:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^((v[o.in[0]] | v[o.in[1]]) & v[o.in[2]])
-			}
-		case cell.OAI22:
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = ^((v[o.in[0]] | v[o.in[1]]) & (v[o.in[2]] | v[o.in[3]]))
+				a, b, s, d := o.in[0], o.in[1], o.in[2], o.out
+				d[0] = a[0] ^ (s[0] & (a[0] ^ b[0]))
 			}
 		case cell.MAJ3:
 			for i := range seg {
 				o := &seg[i]
-				a, b, c := v[o.in[0]], v[o.in[1]], v[o.in[2]]
-				v[o.out] = (a & b) | (a & c) | (b & c)
+				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
+				d[0] = (a[0] & b[0]) | (a[0] & c[0]) | (b[0] & c[0])
 			}
 		default:
-			// Generic fallback: Shannon expansion over the truth table.
-			for i := range seg {
-				o := &seg[i]
-				v[o.out] = evalOpG(o, v, 0)
-			}
+			evalProgramN(p.ops[r.start:r.end], p.values, 1)
 		}
 	}
 }
 
-// evalProgram2 is the two-group (128-lane) dense kernel.
-func evalProgram2(ops []op64, rops []opR, runs []opRun, v []uint64) {
-	for _, r := range runs {
-		seg := rops[r.start:r.end]
+// evalProgram2 is the two-group (128-lane) kernel.
+func evalProgram2(p *program) {
+	for _, r := range p.runs {
+		seg := p.rops[r.start:r.end]
 		switch r.kind {
 		case cell.TIE0:
 			for i := range seg {
@@ -167,12 +96,6 @@ func evalProgram2(ops []op64, rops []opR, runs []opRun, v []uint64) {
 			for i := range seg {
 				d := seg[i].out
 				d[0], d[1] = ^uint64(0), ^uint64(0)
-			}
-		case cell.BUF:
-			for i := range seg {
-				o := &seg[i]
-				a, d := o.in[0], o.out
-				d[0], d[1] = a[0], a[1]
 			}
 		case cell.INV:
 			for i := range seg {
@@ -186,71 +109,11 @@ func evalProgram2(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1] = a[0]&b[0], a[1]&b[1]
 			}
-		case cell.AND3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1] = a[0]&b[0]&c[0], a[1]&b[1]&c[1]
-			}
-		case cell.AND4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1] = a[0]&b[0]&c[0]&e[0], a[1]&b[1]&c[1]&e[1]
-			}
-		case cell.NAND2:
-			for i := range seg {
-				o := &seg[i]
-				a, b, d := o.in[0], o.in[1], o.out
-				d[0], d[1] = ^(a[0] & b[0]), ^(a[1] & b[1])
-			}
-		case cell.NAND3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1] = ^(a[0] & b[0] & c[0]), ^(a[1] & b[1] & c[1])
-			}
-		case cell.NAND4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1] = ^(a[0] & b[0] & c[0] & e[0]), ^(a[1] & b[1] & c[1] & e[1])
-			}
 		case cell.OR2:
 			for i := range seg {
 				o := &seg[i]
 				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1] = a[0]|b[0], a[1]|b[1]
-			}
-		case cell.OR3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1] = a[0]|b[0]|c[0], a[1]|b[1]|c[1]
-			}
-		case cell.OR4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1] = a[0]|b[0]|c[0]|e[0], a[1]|b[1]|c[1]|e[1]
-			}
-		case cell.NOR2:
-			for i := range seg {
-				o := &seg[i]
-				a, b, d := o.in[0], o.in[1], o.out
-				d[0], d[1] = ^(a[0] | b[0]), ^(a[1] | b[1])
-			}
-		case cell.NOR3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1] = ^(a[0] | b[0] | c[0]), ^(a[1] | b[1] | c[1])
-			}
-		case cell.NOR4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1] = ^(a[0] | b[0] | c[0] | e[0]), ^(a[1] | b[1] | c[1] | e[1])
 			}
 		case cell.XOR2:
 			for i := range seg {
@@ -271,32 +134,6 @@ func evalProgram2(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				d[0] = a[0] ^ (s[0] & (a[0] ^ b[0]))
 				d[1] = a[1] ^ (s[1] & (a[1] ^ b[1]))
 			}
-		case cell.AOI21:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1] = ^((a[0] & b[0]) | c[0]), ^((a[1] & b[1]) | c[1])
-			}
-		case cell.AOI22:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0] = ^((a[0] & b[0]) | (c[0] & e[0]))
-				d[1] = ^((a[1] & b[1]) | (c[1] & e[1]))
-			}
-		case cell.OAI21:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1] = ^((a[0] | b[0]) & c[0]), ^((a[1] | b[1]) & c[1])
-			}
-		case cell.OAI22:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0] = ^((a[0] | b[0]) & (c[0] | e[0]))
-				d[1] = ^((a[1] | b[1]) & (c[1] | e[1]))
-			}
 		case cell.MAJ3:
 			for i := range seg {
 				o := &seg[i]
@@ -305,20 +142,15 @@ func evalProgram2(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				d[1] = (a[1] & b[1]) | (a[1] & c[1]) | (b[1] & c[1])
 			}
 		default:
-			for i := r.start; i < r.end; i++ {
-				o := &ops[i]
-				for g := int32(0); g < 2; g++ {
-					v[o.out+g] = evalOpG(o, v, g)
-				}
-			}
+			evalProgramN(p.ops[r.start:r.end], p.values, 2)
 		}
 	}
 }
 
-// evalProgram3 is the three-group (192-lane) dense kernel.
-func evalProgram3(ops []op64, rops []opR, runs []opRun, v []uint64) {
-	for _, r := range runs {
-		seg := rops[r.start:r.end]
+// evalProgram3 is the three-group (192-lane) kernel.
+func evalProgram3(p *program) {
+	for _, r := range p.runs {
+		seg := p.rops[r.start:r.end]
 		switch r.kind {
 		case cell.TIE0:
 			for i := range seg {
@@ -329,12 +161,6 @@ func evalProgram3(ops []op64, rops []opR, runs []opRun, v []uint64) {
 			for i := range seg {
 				d := seg[i].out
 				d[0], d[1], d[2] = ^uint64(0), ^uint64(0), ^uint64(0)
-			}
-		case cell.BUF:
-			for i := range seg {
-				o := &seg[i]
-				a, d := o.in[0], o.out
-				d[0], d[1], d[2] = a[0], a[1], a[2]
 			}
 		case cell.INV:
 			for i := range seg {
@@ -348,71 +174,11 @@ func evalProgram3(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2] = a[0]&b[0], a[1]&b[1], a[2]&b[2]
 			}
-		case cell.AND3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2] = a[0]&b[0]&c[0], a[1]&b[1]&c[1], a[2]&b[2]&c[2]
-			}
-		case cell.AND4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1], d[2] = a[0]&b[0]&c[0]&e[0], a[1]&b[1]&c[1]&e[1], a[2]&b[2]&c[2]&e[2]
-			}
-		case cell.NAND2:
-			for i := range seg {
-				o := &seg[i]
-				a, b, d := o.in[0], o.in[1], o.out
-				d[0], d[1], d[2] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2])
-			}
-		case cell.NAND3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2] = ^(a[0] & b[0] & c[0]), ^(a[1] & b[1] & c[1]), ^(a[2] & b[2] & c[2])
-			}
-		case cell.NAND4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1], d[2] = ^(a[0] & b[0] & c[0] & e[0]), ^(a[1] & b[1] & c[1] & e[1]), ^(a[2] & b[2] & c[2] & e[2])
-			}
 		case cell.OR2:
 			for i := range seg {
 				o := &seg[i]
 				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2] = a[0]|b[0], a[1]|b[1], a[2]|b[2]
-			}
-		case cell.OR3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2] = a[0]|b[0]|c[0], a[1]|b[1]|c[1], a[2]|b[2]|c[2]
-			}
-		case cell.OR4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1], d[2] = a[0]|b[0]|c[0]|e[0], a[1]|b[1]|c[1]|e[1], a[2]|b[2]|c[2]|e[2]
-			}
-		case cell.NOR2:
-			for i := range seg {
-				o := &seg[i]
-				a, b, d := o.in[0], o.in[1], o.out
-				d[0], d[1], d[2] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2])
-			}
-		case cell.NOR3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2] = ^(a[0] | b[0] | c[0]), ^(a[1] | b[1] | c[1]), ^(a[2] | b[2] | c[2])
-			}
-		case cell.NOR4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1], d[2] = ^(a[0] | b[0] | c[0] | e[0]), ^(a[1] | b[1] | c[1] | e[1]), ^(a[2] | b[2] | c[2] | e[2])
 			}
 		case cell.XOR2:
 			for i := range seg {
@@ -434,34 +200,6 @@ func evalProgram3(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				d[1] = a[1] ^ (s[1] & (a[1] ^ b[1]))
 				d[2] = a[2] ^ (s[2] & (a[2] ^ b[2]))
 			}
-		case cell.AOI21:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2] = ^((a[0] & b[0]) | c[0]), ^((a[1] & b[1]) | c[1]), ^((a[2] & b[2]) | c[2])
-			}
-		case cell.AOI22:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0] = ^((a[0] & b[0]) | (c[0] & e[0]))
-				d[1] = ^((a[1] & b[1]) | (c[1] & e[1]))
-				d[2] = ^((a[2] & b[2]) | (c[2] & e[2]))
-			}
-		case cell.OAI21:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2] = ^((a[0] | b[0]) & c[0]), ^((a[1] | b[1]) & c[1]), ^((a[2] | b[2]) & c[2])
-			}
-		case cell.OAI22:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0] = ^((a[0] | b[0]) & (c[0] | e[0]))
-				d[1] = ^((a[1] | b[1]) & (c[1] | e[1]))
-				d[2] = ^((a[2] | b[2]) & (c[2] | e[2]))
-			}
 		case cell.MAJ3:
 			for i := range seg {
 				o := &seg[i]
@@ -471,12 +209,7 @@ func evalProgram3(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				d[2] = (a[2] & b[2]) | (a[2] & c[2]) | (b[2] & c[2])
 			}
 		default:
-			for i := r.start; i < r.end; i++ {
-				o := &ops[i]
-				for g := int32(0); g < 3; g++ {
-					v[o.out+g] = evalOpG(o, v, g)
-				}
-			}
+			evalProgramN(p.ops[r.start:r.end], p.values, 3)
 		}
 	}
 }

@@ -19,12 +19,20 @@ import (
 // campaign front-ends run W=4 (256 lanes) by default.
 //
 // Layout: values is wire-major with stride W — values[int(w)*W+g] is lane
-// group g (lanes 64g..64g+63) of wire w. The evaluation program indices
-// are pre-scaled by W at construction, so one group runs the plain index
-// program (evalProgram) at any stride. For W >= 2 a second, resolved program
-// (rops) holds every operand as a pointer into values, taken once at
-// construction: the unrolled kernels then read o.in[0][g] with no index
-// arithmetic and no bounds check per cycle.
+// group g (lanes 64g..64g+63) of wire w. A program (the whole netlist, and
+// the cone behind the environment's writes) holds every gate twice: as an
+// op64 whose indices are pre-scaled by W, and resolved to pointers into
+// values taken once at construction, so the unrolled kernels read
+// o.in[0][g] with no index arithmetic and no bounds check per cycle.
+//
+// The kernels are unrolled per active group count (evalProgram,
+// evalProgram2/3/4) and have a case for the nine cell kinds a device
+// netlist contains — what internal/synth builds both cores from: TIE0,
+// TIE1, INV, AND2, OR2, XOR2, XNOR2, MUX2, MAJ3. A span of any other kind
+// is handed to evalProgramN, the reference kernel over the index program;
+// evalOpWords under it is the one place on the wide side that knows the
+// whole cell library, truth-table cells included. FallbackOps counts the
+// ops served that way: 0 on both cores.
 //
 // Width parameterization is deliberately NOT done with Go generics: a
 // type parameter cannot range over array lengths ([1]uint64|[4]uint64 has
@@ -35,7 +43,7 @@ type MachineW struct {
 	NL    *netlist.Netlist
 	W     int
 	Cycle int
-	// values is never reallocated after construction: rops, envROps and
+	// values is never reallocated after construction: both programs and
 	// ffPairs point into it. Its capacity exceeds its length by one view
 	// (4 words) so the last wire's *[4]uint64 view is in range at any W.
 	values []uint64
@@ -51,12 +59,8 @@ type MachineW struct {
 
 	cscratch []uint64 // CompactLanes per-wire staging, len W
 
-	ops     []op64 // out/in pre-scaled by W
-	rops    []opR  // ops resolved to views into values (W >= 2 only)
-	runs    []opRun
-	envOps  []op64 // subprogram: gates downstream of env-written wires
-	envROps []opR
-	envRuns []opRun
+	main program // every gate, level-major and kind-minor
+	env  program // the gates downstream of env-written wires (SetEnvWrites)
 
 	ffD, ffQ   []int32 // unscaled wire ids (golden-row lookups)
 	ffDs, ffQs []int32 // pre-scaled (wire*W)
@@ -94,22 +98,6 @@ type opRun struct {
 	start, end int32
 }
 
-// buildRuns splits an ordered op program into contiguous same-kind spans.
-func buildRuns(ops []op64) []opRun {
-	// In-run order follows the (level, kind) sort, so a span may cross a
-	// level boundary and still respect dependencies.
-	var runs []opRun
-	for i := 0; i < len(ops); {
-		j := i + 1
-		for j < len(ops) && ops[j].kind == ops[i].kind {
-			j++
-		}
-		runs = append(runs, opRun{kind: ops[i].kind, start: int32(i), end: int32(j)})
-		i = j
-	}
-	return runs
-}
-
 // opR is one gate of the resolved program: the operands of ops[i] as
 // views into values. Pins beyond the cell's input count are nil. The
 // views are four words at every width; a kernel touches only words < ag.
@@ -118,26 +106,46 @@ type opR struct {
 	in  [4]*[4]uint64
 }
 
+// program is an ordered gate list bound to the values it evaluates, in the
+// three forms evaluation reads: the index ops (the fallback kernel,
+// SetEnvWrites), their resolved twins (the unrolled kernels) and the
+// same-kind spans the kernels dispatch on. The kernels take the program and
+// nothing else: with values passed beside it the compiler kept the slice
+// header live across every span loop and spilled inside them.
+type program struct {
+	values []uint64
+	ops    []op64
+	rops   []opR
+	runs   []opRun
+}
+
 // ffPair is one flip-flop of the direct commit.
 type ffPair struct{ d, q *[4]uint64 }
 
 // view returns the four lane words starting at a pre-scaled wire index.
 func (m *MachineW) view(i int32) *[4]uint64 { return (*[4]uint64)(m.values[i : i+4]) }
 
-// resolve builds the resolved twin of an index program.
-func (m *MachineW) resolve(ops []op64) []opR {
-	if m.W < 2 {
-		return nil // one group runs the index program (evalProgram)
-	}
-	rops := make([]opR, len(ops))
+// newProgram resolves an ordered op list against values and splits it into
+// same-kind spans. In-span order follows the (level, kind) sort, so a span
+// may cross a level boundary and still respect dependencies.
+func (m *MachineW) newProgram(ops []op64) program {
+	p := program{values: m.values, ops: ops, rops: make([]opR, len(ops))}
 	for i := range ops {
 		o := &ops[i]
-		rops[i].out = m.view(o.out)
-		for p := 0; p < int(o.numPins); p++ {
-			rops[i].in[p] = m.view(o.in[p])
+		p.rops[i].out = m.view(o.out)
+		for pin := 0; pin < int(o.numPins); pin++ {
+			p.rops[i].in[pin] = m.view(o.in[pin])
 		}
 	}
-	return rops
+	for i := 0; i < len(ops); {
+		j := i + 1
+		for j < len(ops) && ops[j].kind == ops[i].kind {
+			j++
+		}
+		p.runs = append(p.runs, opRun{kind: ops[i].kind, start: int32(i), end: int32(j)})
+		i = j
+	}
+	return p
 }
 
 // NewMachineW creates a 64·W-lane machine and resets it. w must be >= 1.
@@ -149,6 +157,7 @@ func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 	m := &MachineW{NL: nl, W: w, values: make([]uint64, nv+4)[:nv], cscratch: make([]uint64, w),
 		unserved: make([]uint64, w), same: make([]uint64, w), sub: make([]uint64, w)}
 	level := make([]int32, nl.NumWires())
+	var ops []op64
 	for _, gi := range nl.EvalOrder() {
 		g := &nl.Gates[gi]
 		if g.Cell.NumInputs() > 4 {
@@ -162,28 +171,25 @@ func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 			}
 		}
 		level[g.Output] = o.level
-		m.ops = append(m.ops, o)
+		ops = append(ops, o)
 	}
 	// Level-major, kind-minor order: equal-level gates are independent, so
 	// grouping them by kind is a legal reordering of the topological sort.
-	sort.SliceStable(m.ops, func(a, b int) bool {
-		if m.ops[a].level != m.ops[b].level {
-			return m.ops[a].level < m.ops[b].level
+	sort.SliceStable(ops, func(a, b int) bool {
+		if ops[a].level != ops[b].level {
+			return ops[a].level < ops[b].level
 		}
-		return m.ops[a].kind < m.ops[b].kind
+		return ops[a].kind < ops[b].kind
 	})
-	// Pre-scale the program indices by the machine width (no-op at W=1).
-	if w > 1 {
-		for i := range m.ops {
-			o := &m.ops[i]
-			o.out *= int32(w)
-			for p := 0; p < int(o.numPins); p++ {
-				o.in[p] *= int32(w)
-			}
+	// Pre-scale the program indices by the machine width.
+	for i := range ops {
+		o := &ops[i]
+		o.out *= int32(w)
+		for p := 0; p < int(o.numPins); p++ {
+			o.in[p] *= int32(w)
 		}
 	}
-	m.runs = buildRuns(m.ops)
-	m.rops = m.resolve(m.ops)
+	m.main = m.newProgram(ops)
 	m.ffD = make([]int32, len(nl.FFs))
 	m.ffQ = make([]int32, len(nl.FFs))
 	m.ffDs = make([]int32, len(nl.FFs))
@@ -408,7 +414,7 @@ func (m *MachineW) LoadInputs(ins []bool) {
 }
 
 // EvalComb evaluates all gates once across the active lane groups.
-func (m *MachineW) EvalComb() { evalProgramW(m.ops, m.rops, m.runs, m.values, m.ag) }
+func (m *MachineW) EvalComb() { m.main.eval(m.ag) }
 
 // SetEnvWrites declares the complete set of wires the lane environment may
 // drive between the two settle passes. The machine precomputes the cone of
@@ -426,24 +432,36 @@ func (m *MachineW) SetEnvWrites(wires ...[]netlist.WireID) {
 			inCone[int(w)*m.W] = true
 		}
 	}
-	m.envOps = nil
-	for i := range m.ops {
-		o := &m.ops[i]
+	var cone []op64
+	for i := range m.main.ops {
+		o := &m.main.ops[i]
 		for p := 0; p < int(o.numPins); p++ {
 			if inCone[o.in[p]] {
 				inCone[o.out] = true
-				m.envOps = append(m.envOps, *o)
+				cone = append(cone, *o)
 				break
 			}
 		}
 	}
-	m.envROps = m.resolve(m.envOps)
-	m.envRuns = buildRuns(m.envOps)
+	m.env = m.newProgram(cone)
 }
 
 // EnvConeSize reports how many gates the restricted second settle pass
 // evaluates (0 when SetEnvWrites was never called).
-func (m *MachineW) EnvConeSize() int { return len(m.envOps) }
+func (m *MachineW) EnvConeSize() int { return len(m.env.ops) }
+
+// FallbackOps reports how many gates of the netlist are of a kind the
+// unrolled kernels have no case for and run through evalProgramN instead:
+// 0 for every device the repository builds.
+func (m *MachineW) FallbackOps() int {
+	n := 0
+	for _, r := range m.main.runs {
+		if kernelKinds>>r.kind&1 == 0 {
+			n += int(r.end - r.start)
+		}
+	}
+	return n
+}
 
 // DivergenceMaskG compares lane group g's stored flip-flop state against a
 // packed golden wire row (as returned by Trace.Row for the same cycle):
@@ -555,8 +573,8 @@ func (m *MachineW) Settle(env EnvW) {
 	m.EvalComb()
 	if env != nil {
 		env.SetInputsW(m)
-		if m.envOps != nil {
-			evalProgramW(m.envOps, m.envROps, m.envRuns, m.values, m.ag)
+		if m.env.ops != nil {
+			m.env.eval(m.ag)
 		} else {
 			m.EvalComb()
 		}
@@ -582,50 +600,47 @@ func (m *MachineW) ReadBusLane(bus []netlist.WireID, lane int) uint64 {
 	return v
 }
 
-// evalProgramW dispatches the dense kernel for the active group count:
-// the index program at one group (indices are pre-scaled by W, so it
-// evaluates group 0 correctly at any stride), hand-unrolled kernels for
-// two to four groups, and a generic per-group loop beyond that. After
-// lane compaction a draining device walks down this ladder.
-func evalProgramW(ops []op64, rops []opR, runs []opRun, v []uint64, w int) {
-	switch w {
+// kernelKinds is the set of cell kinds every unrolled kernel has a case
+// for, one bit per kind: the nine internal/synth builds the cores from.
+const kernelKinds uint64 = 1<<cell.TIE0 | 1<<cell.TIE1 | 1<<cell.INV | 1<<cell.AND2 | 1<<cell.OR2 |
+	1<<cell.XOR2 | 1<<cell.XNOR2 | 1<<cell.MUX2 | 1<<cell.MAJ3
+
+// eval runs the program once over ag lane groups: a hand-unrolled kernel
+// for one to four groups, the reference kernel beyond. After lane
+// compaction a draining device walks down this ladder.
+func (p *program) eval(ag int) {
+	switch ag {
 	case 1:
-		evalProgram(ops, runs, v)
+		evalProgram(p)
 	case 2:
-		evalProgram2(ops, rops, runs, v)
+		evalProgram2(p)
 	case 3:
-		evalProgram3(ops, rops, runs, v)
+		evalProgram3(p)
 	case 4:
-		evalProgram4(ops, rops, runs, v)
+		evalProgram4(p)
 	default:
-		evalProgramN(ops, v, w)
+		evalProgramN(p.ops, p.values, ag)
 	}
 }
 
-// evalProgramN is the generic-width dense kernel (any W): one kind switch
-// per op per group. Only non-default widths (e.g. W=2 in the property
-// tests) pay its dispatch cost.
-func evalProgramN(ops []op64, v []uint64, w int) {
+// evalProgramN is the reference kernel: any op list, any group count, one
+// kind switch per op per group. The unrolled kernels hand it the spans they
+// have no case for, and widths beyond four groups run on it whole.
+func evalProgramN(ops []op64, v []uint64, ag int) {
 	for i := range ops {
 		o := &ops[i]
-		for g := int32(0); g < int32(w); g++ {
-			v[o.out+g] = evalOpG(o, v, g)
+		for g := int32(0); g < int32(ag); g++ {
+			var in [4]uint64
+			for p := 0; p < int(o.numPins); p++ {
+				in[p] = v[o.in[p]+g]
+			}
+			v[o.out+g] = evalOpWords(o, &in)
 		}
 	}
 }
 
-// evalOpG evaluates one op for lane group g (indices pre-scaled).
-func evalOpG(o *op64, v []uint64, g int32) uint64 {
-	var in [4]uint64
-	for p := 0; p < int(o.numPins); p++ {
-		in[p] = v[o.in[p]+g]
-	}
-	return evalOpWords(o, &in)
-}
-
-// evalOpWords evaluates one op given its input lane words — the
-// single-word gate kernel of the generic dense path and of every kernel's
-// truth-table fallback.
+// evalOpWords evaluates one op given its input lane words: every library
+// kind by its formula, anything else by its truth table.
 func evalOpWords(o *op64, in *[4]uint64) uint64 {
 	switch o.kind {
 	case cell.TIE0:
@@ -698,17 +713,16 @@ func evalOpWords(o *op64, in *[4]uint64) uint64 {
 	}
 }
 
-// evalProgram4 is the hand-unrolled W=4 (256-lane) dense kernel: the same
-// kind-grouped dispatch as evalProgram, four lane words per wire, over the
-// resolved program. Each operand is a *[4]uint64 taken once at
-// construction, so an op is pointer loads, constant-index word ops and
-// stores. The per-cycle slice->array view this replaces (at4(v, o.in[0]))
-// cost two bounds checks and a pointer mask per operand — 14 % of an AVR
-// campaign's CPU time in the view helper alone. Only the truth-table
-// fallback still goes through the index program.
-func evalProgram4(ops []op64, rops []opR, runs []opRun, v []uint64) {
-	for _, r := range runs {
-		seg := rops[r.start:r.end]
+// evalProgram4 is the hand-unrolled four-group (256-lane) kernel: one
+// switch dispatch per span, then a tight loop of pointer loads,
+// constant-index word ops and stores over the resolved ops. (The per-cycle
+// slice->array view the resolved operands replace cost two bounds checks
+// and a pointer mask per operand — 14 % of an AVR campaign's CPU time.)
+// evalProgram, evalProgram2 and evalProgram3 (kernels_narrow.go) are the
+// same body at fewer words.
+func evalProgram4(p *program) {
+	for _, r := range p.runs {
+		seg := p.rops[r.start:r.end]
 		switch r.kind {
 		case cell.TIE0:
 			for i := range seg {
@@ -719,12 +733,6 @@ func evalProgram4(ops []op64, rops []opR, runs []opRun, v []uint64) {
 			for i := range seg {
 				d := seg[i].out
 				d[0], d[1], d[2], d[3] = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-			}
-		case cell.BUF:
-			for i := range seg {
-				o := &seg[i]
-				a, d := o.in[0], o.out
-				d[0], d[1], d[2], d[3] = a[0], a[1], a[2], a[3]
 			}
 		case cell.INV:
 			for i := range seg {
@@ -738,71 +746,11 @@ func evalProgram4(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2], d[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
 			}
-		case cell.AND3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2], d[3] = a[0]&b[0]&c[0], a[1]&b[1]&c[1], a[2]&b[2]&c[2], a[3]&b[3]&c[3]
-			}
-		case cell.AND4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1], d[2], d[3] = a[0]&b[0]&c[0]&e[0], a[1]&b[1]&c[1]&e[1], a[2]&b[2]&c[2]&e[2], a[3]&b[3]&c[3]&e[3]
-			}
-		case cell.NAND2:
-			for i := range seg {
-				o := &seg[i]
-				a, b, d := o.in[0], o.in[1], o.out
-				d[0], d[1], d[2], d[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
-			}
-		case cell.NAND3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2], d[3] = ^(a[0] & b[0] & c[0]), ^(a[1] & b[1] & c[1]), ^(a[2] & b[2] & c[2]), ^(a[3] & b[3] & c[3])
-			}
-		case cell.NAND4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1], d[2], d[3] = ^(a[0] & b[0] & c[0] & e[0]), ^(a[1] & b[1] & c[1] & e[1]), ^(a[2] & b[2] & c[2] & e[2]), ^(a[3] & b[3] & c[3] & e[3])
-			}
 		case cell.OR2:
 			for i := range seg {
 				o := &seg[i]
 				a, b, d := o.in[0], o.in[1], o.out
 				d[0], d[1], d[2], d[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
-			}
-		case cell.OR3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2], d[3] = a[0]|b[0]|c[0], a[1]|b[1]|c[1], a[2]|b[2]|c[2], a[3]|b[3]|c[3]
-			}
-		case cell.OR4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1], d[2], d[3] = a[0]|b[0]|c[0]|e[0], a[1]|b[1]|c[1]|e[1], a[2]|b[2]|c[2]|e[2], a[3]|b[3]|c[3]|e[3]
-			}
-		case cell.NOR2:
-			for i := range seg {
-				o := &seg[i]
-				a, b, d := o.in[0], o.in[1], o.out
-				d[0], d[1], d[2], d[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
-			}
-		case cell.NOR3:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2], d[3] = ^(a[0] | b[0] | c[0]), ^(a[1] | b[1] | c[1]), ^(a[2] | b[2] | c[2]), ^(a[3] | b[3] | c[3])
-			}
-		case cell.NOR4:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0], d[1], d[2], d[3] = ^(a[0] | b[0] | c[0] | e[0]), ^(a[1] | b[1] | c[1] | e[1]), ^(a[2] | b[2] | c[2] | e[2]), ^(a[3] | b[3] | c[3] | e[3])
 			}
 		case cell.XOR2:
 			for i := range seg {
@@ -817,6 +765,8 @@ func evalProgram4(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				d[0], d[1], d[2], d[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
 			}
 		case cell.MUX2:
+			// a ^ (s & (a^b)): one op fewer than (^s&a)|(s&b), and MUX2 is
+			// the most common cell on both cores.
 			for i := range seg {
 				o := &seg[i]
 				a, b, s, d := o.in[0], o.in[1], o.in[2], o.out
@@ -824,36 +774,6 @@ func evalProgram4(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				d[1] = a[1] ^ (s[1] & (a[1] ^ b[1]))
 				d[2] = a[2] ^ (s[2] & (a[2] ^ b[2]))
 				d[3] = a[3] ^ (s[3] & (a[3] ^ b[3]))
-			}
-		case cell.AOI21:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2], d[3] = ^((a[0] & b[0]) | c[0]), ^((a[1] & b[1]) | c[1]), ^((a[2] & b[2]) | c[2]), ^((a[3] & b[3]) | c[3])
-			}
-		case cell.AOI22:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0] = ^((a[0] & b[0]) | (c[0] & e[0]))
-				d[1] = ^((a[1] & b[1]) | (c[1] & e[1]))
-				d[2] = ^((a[2] & b[2]) | (c[2] & e[2]))
-				d[3] = ^((a[3] & b[3]) | (c[3] & e[3]))
-			}
-		case cell.OAI21:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, d := o.in[0], o.in[1], o.in[2], o.out
-				d[0], d[1], d[2], d[3] = ^((a[0] | b[0]) & c[0]), ^((a[1] | b[1]) & c[1]), ^((a[2] | b[2]) & c[2]), ^((a[3] | b[3]) & c[3])
-			}
-		case cell.OAI22:
-			for i := range seg {
-				o := &seg[i]
-				a, b, c, e, d := o.in[0], o.in[1], o.in[2], o.in[3], o.out
-				d[0] = ^((a[0] | b[0]) & (c[0] | e[0]))
-				d[1] = ^((a[1] | b[1]) & (c[1] | e[1]))
-				d[2] = ^((a[2] | b[2]) & (c[2] | e[2]))
-				d[3] = ^((a[3] | b[3]) & (c[3] | e[3]))
 			}
 		case cell.MAJ3:
 			for i := range seg {
@@ -865,12 +785,7 @@ func evalProgram4(ops []op64, rops []opR, runs []opRun, v []uint64) {
 				d[3] = (a[3] & b[3]) | (a[3] & c[3]) | (b[3] & c[3])
 			}
 		default:
-			for i := r.start; i < r.end; i++ {
-				o := &ops[i]
-				for g := int32(0); g < 4; g++ {
-					v[o.out+g] = evalOpG(o, v, g)
-				}
-			}
+			evalProgramN(p.ops[r.start:r.end], p.values, 4)
 		}
 	}
 }

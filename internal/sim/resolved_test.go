@@ -9,8 +9,9 @@ import (
 )
 
 // allKindsMachine builds a width-w machine whose program holds one gate of
-// every library cell plus one op of a kind no kernel specialises, so every
-// case of the unrolled kernels — the truth-table fallback included — runs.
+// every library cell plus one op of a kind not even evalOpWords names, so
+// every case of the unrolled kernels, the fallback span in each of them and
+// the truth-table expansion under it all run.
 func allKindsMachine(t *testing.T, w int, rng *rand.Rand) *MachineW {
 	t.Helper()
 	b := netlist.NewBuilder("kinds")
@@ -26,37 +27,40 @@ func allKindsMachine(t *testing.T, w int, rng *rand.Rand) *MachineW {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := op64{kind: cell.Kind(250), tt: rng.Uint32() & 0xFFFF, out: int32(spare) * int32(w), numPins: 4}
+	o := op64{kind: unknownKind, tt: rng.Uint32() & 0xFFFF, out: int32(spare) * int32(w), numPins: 4}
 	for p := range o.in {
 		o.in[p] = int32(ins[p]) * int32(w)
 	}
-	m.ops = append(m.ops, o)
-	m.runs = buildRuns(m.ops)
-	m.rops = m.resolve(m.ops)
+	m.main = m.newProgram(append(m.main.ops, o))
 	return m
 }
 
-// TestResolvedKernelsMatchGeneric pins the resolved kernels (and, at one
-// group, the index kernel they sit beside) to evalProgramN for every width
-// with a resolved program, every active-group count and every cell kind.
+// TestResolvedKernelsMatchGeneric pins the unrolled kernels to evalProgramN
+// for every width they serve, every active-group count and every cell kind.
+// For the kinds outside kernelKinds both sides are evalProgramN — what this
+// checks there is that the span handed over is the right one; the
+// independent oracle for those kinds is TestWidth1GenericFallback.
 func TestResolvedKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, w := range []int{2, 3, 4} {
+	for _, w := range []int{1, 2, 3, 4} {
 		m := allKindsMachine(t, w, rng)
 		kinds := map[cell.Kind]bool{}
-		for _, r := range m.runs {
+		for _, r := range m.main.runs {
 			kinds[r.kind] = true
 		}
 		if len(kinds) != len(cell.All())+1 {
 			t.Fatalf("W=%d: program covers %d kinds, want %d", w, len(kinds), len(cell.All())+1)
+		}
+		if got, want := m.FallbackOps(), len(kinds)-9; got != want {
+			t.Fatalf("W=%d: %d ops on the fallback, want %d (every kind but the nine of kernelKinds)", w, got, want)
 		}
 		for ag := 1; ag <= w; ag++ {
 			for i := range m.values {
 				m.values[i] = rng.Uint64()
 			}
 			want := append([]uint64(nil), m.values...)
-			evalProgramN(m.ops, want, ag)
-			evalProgramW(m.ops, m.rops, m.runs, m.values, ag)
+			evalProgramN(m.main.ops, want, ag)
+			m.main.eval(ag)
 			for i, v := range m.values {
 				if v != want[i] {
 					t.Fatalf("W=%d ag=%d: wire %d group %d = %016x, generic kernel %016x", w, ag, i/w, i%w, v, want[i])
@@ -231,17 +235,17 @@ func TestShiftRegisterCommitsStaged(t *testing.T) {
 func TestSetEnvWritesRebuildsResolvedCone(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	nl := randomSyncCircuit(rng)
-	for _, w := range []int{2, 3, 4} {
+	for _, w := range []int{1, 2, 3, 4} {
 		m, _ := NewMachineW(nl, w)
 		full, _ := NewMachineW(nl, w)
 		m.SetEnvWrites(nl.Inputs[:1])
 		first := m.EnvConeSize()
 		m.SetEnvWrites(nl.Inputs[1:3], nl.Inputs[4:])
-		if len(m.envROps) != len(m.envOps) || m.EnvConeSize() == 0 {
-			t.Fatalf("W=%d: resolved cone has %d ops, index cone %d", w, len(m.envROps), len(m.envOps))
+		if len(m.env.rops) != len(m.env.ops) || m.EnvConeSize() == 0 {
+			t.Fatalf("W=%d: resolved cone has %d ops, index cone %d", w, len(m.env.rops), len(m.env.ops))
 		}
-		for i := range m.envOps {
-			if m.envROps[i].out != m.view(m.envOps[i].out) {
+		for i := range m.env.ops {
+			if m.env.rops[i].out != m.view(m.env.ops[i].out) {
 				t.Fatalf("W=%d: resolved env op %d does not view its index twin's output", w, i)
 			}
 		}

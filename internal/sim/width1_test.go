@@ -136,55 +136,77 @@ func TestWidth1Helpers(t *testing.T) {
 	}
 }
 
-// TestWidth1GenericFallback: force the generic truth-table evaluator by
-// comparing it against the direct implementations for every library cell.
+// TestWidth1GenericFallback checks every library cell against its truth
+// table (cell.Eval — an oracle that shares no code with the kernels) at
+// every width with an unrolled kernel and every active-group count, three
+// ways: through the kernel that serves the cell's kind — its own case for
+// the nine kernelKinds, the evalProgramN span for the rest — and through a
+// twin op of unknown kind, which only the truth-table expansion can serve.
 func TestWidth1GenericFallback(t *testing.T) {
-	for _, c := range cell.All() {
-		n := c.NumInputs()
-		if n == 0 {
-			continue
-		}
-		b := netlist.NewBuilder("gen")
-		ins := make([]netlist.WireID, n)
-		for i := range ins {
-			ins[i] = b.Input("")
-		}
-		out := b.Gate(c.Kind, ins...)
-		b.MarkOutput(out)
-		nl := b.MustNetlist()
-		m, err := NewMachineW(nl, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Drive lane l with input pattern l (patterns repeat beyond 2^n).
-		for p := 0; p < n; p++ {
-			var plane uint64
-			for l := 0; l < 64; l++ {
-				if (l>>uint(p))&1 == 1 {
-					plane |= 1 << uint(l)
+	for w := 1; w <= 4; w++ {
+		for ag := 1; ag <= w; ag++ {
+			for _, c := range cell.All() {
+				n := c.NumInputs()
+				b := netlist.NewBuilder("gen")
+				ins := make([]netlist.WireID, n)
+				for i := range ins {
+					ins[i] = b.Input("")
 				}
-			}
-			m.SetLaneWord(ins[p], 0, plane)
-		}
-		m.EvalComb()
-		direct := m.LaneWord(out, 0)
-		o := m.ops[len(m.ops)-1]
-		o.kind = unknownKind // no kernel case: Shannon expansion over o.tt
-		generic := evalOpG(&o, m.values, 0)
-		if direct != generic {
-			t.Errorf("%s: direct %016x != generic %016x", c.Name, direct, generic)
-		}
-		// And both must match the scalar truth table.
-		for l := 0; l < 1<<n && l < 64; l++ {
-			want := c.Eval(uint32(l))
-			if direct>>uint(l)&1 == 1 != want {
-				t.Errorf("%s lane %d: got %v want %v", c.Name, l, direct>>uint(l)&1 == 1, want)
+				twinOut := b.Input("") // driven by the unknown-kind twin
+				out := b.Gate(c.Kind, ins...)
+				b.MarkOutput(out)
+				m, err := NewMachineW(b.MustNetlist(), w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twin := m.main.ops[0]
+				twin.kind, twin.out = unknownKind, int32(twinOut)*int32(w)
+				m.main = m.newProgram(append(m.main.ops, twin))
+				onFallback := 2 // the cell and its twin
+				if kernelKinds>>c.Kind&1 == 1 {
+					onFallback = 1
+				}
+				if got := m.FallbackOps(); got != onFallback {
+					t.Fatalf("%s: %d ops on the fallback, want %d", c.Name, got, onFallback)
+				}
+				// Lane l of group g sees input pattern l+5g (mod 2^n), so
+				// a kernel that mixes groups up is caught.
+				pattern := func(g, l int) uint32 { return uint32(l+5*g) & (1<<uint(n) - 1) }
+				for g := 0; g < w; g++ {
+					for p := 0; p < n; p++ {
+						var plane uint64
+						for l := 0; l < 64; l++ {
+							plane |= uint64(pattern(g, l)>>uint(p)&1) << uint(l)
+						}
+						m.SetLaneWord(ins[p], g, plane)
+					}
+					m.SetLaneWord(out, g, 0x5555_5555_5555_5555)
+					m.SetLaneWord(twinOut, g, 0x5555_5555_5555_5555)
+				}
+				m.main.eval(ag)
+				for g := 0; g < w; g++ {
+					var want uint64 = 0x5555_5555_5555_5555 // groups >= ag stay untouched
+					if g < ag {
+						want = 0
+						for l := 0; l < 64; l++ {
+							if c.Eval(pattern(g, l)) {
+								want |= 1 << uint(l)
+							}
+						}
+					}
+					if got := m.LaneWord(out, g); got != want {
+						t.Errorf("W=%d ag=%d %s group %d: kernel %016x, truth table %016x", w, ag, c.Name, g, got, want)
+					}
+					if got := m.LaneWord(twinOut, g); got != want {
+						t.Errorf("W=%d ag=%d %s group %d: truth-table op %016x, truth table %016x", w, ag, c.Name, g, got, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// unknownKind is a cell kind no kernel has a case for.
+// unknownKind is a cell kind neither a kernel nor evalOpWords has a case for.
 const unknownKind = cell.Kind(255)
 
 // randomSyncCircuit builds a random synchronous circuit (shared with the
