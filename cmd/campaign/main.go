@@ -52,7 +52,6 @@ func main() {
 	noPrune := flag.Bool("noprune", false, "disable online MATE pruning")
 	validate := flag.Bool("validate", false, "re-execute pruned points and verify benignity")
 	noRF := flag.Bool("norf", false, "exclude the register file from the fault list")
-	sequential := flag.Bool("sequential", false, "use the sequential controller instead of the lane-parallel batched engine")
 	lanes := flag.Int("lanes", hafi.DefaultCampaignLanes, "lanes per batched device instance (positive multiple of 64, at most 65536)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shard the campaign over this many device instances (>= 1)")
 	noEarlyExit := flag.Bool("no-early-exit", false, "disable the golden-state convergence early-exit (every experiment runs to halt or timeout)")
@@ -91,8 +90,8 @@ func main() {
 	if *workers < 1 {
 		usage("-workers %d out of range (want >= 1)", *workers)
 	}
-	if *lanes < 64 || *lanes%64 != 0 {
-		usage("-lanes %d out of range (want a positive multiple of 64)", *lanes)
+	if *lanes < 64 || *lanes%64 != 0 || *lanes > 1<<16 {
+		usage("-lanes %d out of range (want a positive multiple of 64, at most 65536)", *lanes)
 	}
 	modelSpec, err := hafi.ParseModelSpec(*faultModel)
 	if err != nil {
@@ -102,8 +101,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var factory func() hafi.Run
-	var factoryW func() (hafi.RunW, error)
+	var run hafi.Run
+	var newRunW func(lanes int) (hafi.RunW, error)
 	var nl *netlist.Netlist
 	var groups []string
 	switch *cpu {
@@ -117,8 +116,8 @@ func main() {
 		case "sort":
 			p = progs.AVRSort()
 		}
-		factory = func() hafi.Run { return hafi.NewAVRRun(avr.NewCore(), p) }
-		factoryW = func() (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), p, *lanes) }
+		run = hafi.NewAVRRun(c, p)
+		newRunW = func(lanes int) (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), p, lanes) }
 		groups = []string{avr.GroupRegFile}
 	case "msp430":
 		c := msp430.NewCore()
@@ -130,21 +129,27 @@ func main() {
 		case "sort":
 			p = progs.MSP430Sort()
 		}
-		factory = func() hafi.Run { return hafi.NewMSP430Run(msp430.NewCore(), p) }
-		factoryW = func() (hafi.RunW, error) { return hafi.NewMSP430RunW(msp430.NewCore(), p, *lanes) }
+		run = hafi.NewMSP430Run(c, p)
+		newRunW = func(lanes int) (hafi.RunW, error) { return hafi.NewMSP430RunW(msp430.NewCore(), p, lanes) }
 		groups = []string{msp430.GroupRegFile}
 	}
 	if err := lint.Preflight(os.Stderr, nl, *strict); err != nil {
 		fail(err)
 	}
-	run := factory()
 	if !*noRF {
 		groups = nil
 	}
 
+	// The golden run is recorded on a 64-lane wide device (lane 0 carries
+	// it): the same Golden as the scalar recorder's, at a fraction of the
+	// wall time.
 	start := time.Now()
 	gsp := reg.StartSpan("golden")
-	golden, err := hafi.RecordGolden(run, 1<<20)
+	grun, err := newRunW(64)
+	if err != nil {
+		fail(err)
+	}
+	golden, err := hafi.RecordGoldenW(grun, 1<<20)
 	gsp.End()
 	if err != nil {
 		fail(err)
@@ -168,7 +173,7 @@ func main() {
 	}
 
 	points := hafi.ModelFaultList(nl, golden.HaltCycle, *stride, modelSpec, groups...)
-	ctl := hafi.NewControllerPool(factory, golden)
+	ctl := hafi.NewController(run, golden)
 
 	var jw *journal.Writer
 	var recovered *journal.Recovered
@@ -199,7 +204,6 @@ func main() {
 		Journal:          jw,
 		Resume:           recovered,
 		Obs:              reg,
-		Workers:          *workers,
 	}
 	defer obsOpts.StartProgress(reg, obs.ProgressConfig{
 		Label: "campaign", Unit: "points",
@@ -224,19 +228,14 @@ func main() {
 	}
 
 	start = time.Now()
-	var res *hafi.CampaignResult
-	if *sequential {
-		res, err = ctl.RunCampaign(cfg)
-	} else {
-		// No more devices than the fault list can fill at once.
-		runs := make([]hafi.RunW, max(1, min(*workers, (len(points)+*lanes-1) / *lanes)))
-		for i := range runs {
-			if runs[i], err = factoryW(); err != nil {
-				fail(err)
-			}
+	// No more devices than the fault list can fill at once.
+	runs := make([]hafi.RunW, max(1, min(*workers, (len(points)+*lanes-1) / *lanes)))
+	for i := range runs {
+		if runs[i], err = newRunW(*lanes); err != nil {
+			fail(err)
 		}
-		res, err = ctl.RunCampaignBatchedPoolWithW(cfg, runs)
 	}
+	res, err := ctl.RunCampaignBatchedPoolWithW(cfg, runs)
 	if err != nil {
 		fail(err)
 	}

@@ -54,6 +54,9 @@ func main() {
 	if *workers < 1 {
 		usage("-workers %d out of range (want >= 1)", *workers)
 	}
+	if *lanes < 64 || *lanes%64 != 0 || *lanes > 1<<16 {
+		usage("-lanes %d out of range (want a positive multiple of 64, at most 65536)", *lanes)
+	}
 	if *name == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -132,8 +135,14 @@ func main() {
 	if !spec.NoRF {
 		groups = nil
 	}
+	// The golden run is recorded on a 64-lane wide device: the same Golden
+	// as the scalar recorder's, at a fraction of the wall time.
 	start := time.Now()
-	golden, err := hafi.RecordGolden(target.NewRun(), 1<<20)
+	grun, err := target.NewRunW(64)
+	if err != nil {
+		fail(err)
+	}
+	golden, err := hafi.RecordGoldenW(grun, 1<<20)
 	if err != nil {
 		fail(err)
 	}
@@ -144,7 +153,7 @@ func main() {
 		}
 	}
 	points := hafi.ModelFaultList(target.NL, golden.HaltCycle, spec.Stride, modelSpec, groups...)
-	ctl := hafi.NewControllerPool(target.NewRun, golden)
+	ctl := hafi.NewController(target.NewRun(), golden)
 	runs := make([]hafi.RunW, *workers)
 	for i := range runs {
 		if runs[i], err = target.NewRunW(*lanes); err != nil {

@@ -69,8 +69,7 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 	runJournaled := func(name string, exec func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error)) ([]journal.Record, *hafi.CampaignResult) {
 		t.Helper()
 		path := filepath.Join(dir, name+".journal")
-		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-		jw, err := journal.Create(path, ctl.JournalHeader(points))
+		jw, err := journal.Create(path, hafi.NewController(c.NewRun(prog), golden).JournalHeader(points))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +98,9 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 		return out, res
 	}
 
-	// Implementation 2: sequential controller (sharded over a worker pool).
+	// Implementation 2: the sequential scalar controller, the oracle.
 	seqRecs, seqRes := runJournaled("sequential", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-		cfg.Workers = runtime.NumCPU()
-		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-		return ctl.RunCampaign(cfg)
+		return hafi.NewController(c.NewRun(prog), golden).RunCampaign(cfg)
 	})
 
 	// Implementation 3: the wide engine on one 64-lane device.
@@ -201,8 +198,7 @@ func TestDifferentialEarlyExitNoPrune(t *testing.T) {
 	runEngine := func(name string, disable bool, workers int) ([]journal.Record, *hafi.CampaignResult) {
 		t.Helper()
 		path := filepath.Join(dir, name+".journal")
-		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-		jw, err := journal.Create(path, ctl.JournalHeader(points))
+		jw, err := journal.Create(path, hafi.NewController(c.NewRun(prog), golden).JournalHeader(points))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,8 +191,7 @@ func TestDifferentialExactPruneCampaign(t *testing.T) {
 	runEngine := func(name string, set *core.MATESet) ([]journal.Record, *hafi.CampaignResult) {
 		t.Helper()
 		path := filepath.Join(dir, name+".journal")
-		ctl := hafi.NewControllerPool(func() hafi.Run { return c.NewRun(prog) }, golden)
-		jw, err := journal.Create(path, ctl.JournalHeader(points))
+		jw, err := journal.Create(path, hafi.NewController(run, golden).JournalHeader(points))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,13 @@
 // hafi-campaign: fault-injection campaign on the modelled HAFI platform,
 // with and without online MATE pruning.
 //
-// The controller records a golden run, walks a sampled (flip-flop × cycle)
-// fault list, and classifies every experiment as benign, silent data
-// corruption or hang. With MATEs attached, injections proven benign are
-// skipped before execution; the example validates a sample of the skipped
-// points against actual execution to demonstrate soundness, and reports
-// the FPGA LUT budget of the MATE set (paper Section 6.1).
+// The controller records a golden run, walks the full (flip-flop × cycle)
+// fault list on a pool of wide devices, and classifies every experiment as
+// benign, silent data corruption or hang. With MATEs attached, injections
+// proven benign are skipped before execution; the example re-executes every
+// skipped point to demonstrate soundness, and reports the FPGA LUT budget
+// of the MATE set (paper Section 6.1). It exits non-zero when a skipped
+// point is not benign or pruning changes the SDC or hang count.
 //
 //	go run ./examples/hafi-campaign
 package main
@@ -43,10 +44,16 @@ loop:
 func main() {
 	c := avr.NewCore()
 	prog := avr.MustAssemble(workload)
-	factory := func() hafi.Run { return hafi.NewAVRRun(avr.NewCore(), prog) }
-	run := factory()
+	newRunW := func(lanes int) hafi.RunW {
+		r, err := hafi.NewAVRRunW(avr.NewCore(), prog, lanes)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
 
-	golden, err := hafi.RecordGolden(run, 100000)
+	// The golden run is recorded on lane 0 of a 64-lane device.
+	golden, err := hafi.RecordGoldenW(newRunW(64), 100000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,11 +63,18 @@ func main() {
 	fmt.Printf("fault space: %d flip-flops × %d cycles = %d points\n\n",
 		len(c.NL.FFs), golden.HaltCycle, len(points))
 
-	ctl := hafi.NewControllerPool(factory, golden)
+	// One FI controller spreads the campaign over a pool of wide devices, one
+	// per core, each playing one FPGA of the paper's platform.
+	ctl := hafi.NewController(hafi.NewAVRRun(c, prog), golden)
+	lanes := hafi.DefaultCampaignLanes
+	runs := make([]hafi.RunW, max(1, min(runtime.GOMAXPROCS(0), (len(points)+lanes-1)/lanes)))
+	for i := range runs {
+		runs[i] = newRunW(lanes)
+	}
 
 	// --- baseline: no pruning ---------------------------------------------
 	start := time.Now()
-	base, err := ctl.RunCampaign(hafi.CampaignConfig{Points: points, Workers: runtime.NumCPU()})
+	base, err := ctl.RunCampaignBatchedPoolWithW(hafi.CampaignConfig{Points: points}, runs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,12 +90,11 @@ func main() {
 		res.Set.Size(), hafi.LUTCost(top), 100*hafi.OverheadVsController(top, hafi.FIControllerLUTsLow))
 
 	start = time.Now()
-	pruned, err := ctl.RunCampaign(hafi.CampaignConfig{
+	pruned, err := ctl.RunCampaignBatchedPoolWithW(hafi.CampaignConfig{
 		Points:          points,
-		Workers:         runtime.NumCPU(),
 		MATESet:         top,
 		ValidateSkipped: true,
-	})
+	}, runs)
 	if err != nil {
 		log.Fatal(err)
 	}

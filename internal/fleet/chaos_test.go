@@ -82,7 +82,7 @@ func TestFleetChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		return &CampaignRunner{
-			Ctl:     hafi.NewControllerPool(newRun, golden),
+			Ctl:     hafi.NewController(newRun(), golden),
 			Points:  points,
 			RunsW:   []hafi.RunW{run64},
 			MATESet: set,
@@ -91,7 +91,7 @@ func TestFleetChaos(t *testing.T) {
 
 	// --- reference: uninterrupted single-process campaign ----------------
 	refPath := filepath.Join(t.TempDir(), "reference.journal")
-	refCtl := hafi.NewControllerPool(newRun, golden)
+	refCtl := hafi.NewController(newRun(), golden)
 	jw, err := journal.Create(refPath, refCtl.JournalHeader(points))
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestFleetModelCampaign(t *testing.T) {
 			t.Fatal(err)
 		}
 		return &CampaignRunner{
-			Ctl:    hafi.NewControllerPool(newRun, golden),
+			Ctl:    hafi.NewController(newRun(), golden),
 			Points: points,
 			RunsW:  []hafi.RunW{run64},
 			Model:  model,
@@ -53,7 +53,7 @@ func TestFleetModelCampaign(t *testing.T) {
 
 	// Reference: uninterrupted single-process batched campaign.
 	refPath := filepath.Join(t.TempDir(), "reference.journal")
-	refCtl := hafi.NewControllerPool(newRun, golden)
+	refCtl := hafi.NewController(newRun(), golden)
 	jw, err := journal.Create(refPath, refCtl.JournalHeader(points))
 	if err != nil {
 		t.Fatal(err)

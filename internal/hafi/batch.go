@@ -16,8 +16,8 @@ const DefaultCampaignLanes = 256
 // (the name is the one bench/ calls; it is shortened when bench/ is next
 // edited): it executes the campaign on a pool of wide device instances —
 // the paper's "one FI controller distributes the FI campaign over several
-// FPGAs", with each instance playing one FPGA. Semantically identical to
-// RunCampaign (same outcomes for every point) and typically two orders of
+// FPGAs", with each instance playing one FPGA. It gives every point the
+// outcome the oracle, RunCampaign, gives it, typically two orders of
 // magnitude faster. MATE pruning is applied before execution, exactly like
 // the sequential controller; ValidateSkipped re-executes pruned points on
 // the devices as well.
@@ -32,12 +32,13 @@ const DefaultCampaignLanes = 256
 // count and pool size, and crash-resume and journal-diff behaviour does not
 // depend on either.
 //
-// The caller builds the pool — min(Workers, ⌈points/lanes⌉) devices is all
-// a campaign can keep busy — and may reuse it across calls (a fleet worker
-// executing many shards pays the construction once): a campaign restores a
-// golden checkpoint into every lane before it injects. Every instance must
-// model the netlist and workload the golden reference was recorded from;
-// one that does not is refused before anything is classified or journaled.
+// The caller builds the pool — one device per core it wants to use, and no
+// more than ⌈points/lanes⌉, which is all a campaign can keep busy — and may
+// reuse it across calls (a fleet worker executing many shards pays the
+// construction once): a campaign restores a golden checkpoint into every
+// lane before it injects. Every instance must model the netlist and
+// workload the golden reference was recorded from; one that does not is
+// refused before anything is classified or journaled.
 //
 // Resilience matches the sequential engine: recovered journal records are
 // replayed instead of re-executed, every newly classified point is
@@ -57,7 +58,7 @@ func (c *Controller) RunCampaignBatchedPoolWithW(cfg CampaignConfig, runs []RunW
 	sp := cfg.Obs.StartSpan("campaign")
 	defer sp.End()
 	met := newCampaignMetrics(cfg.Obs, len(cfg.Points))
-	em := &emitter{c: c, cfg: &cfg, met: met, res: newCampaignResult(), prog: newProgress(cfg.Progress)}
+	em := &emitter{c: c, cfg: &cfg, met: met, res: newCampaignResult(), prog: &progressCounter{fn: cfg.Progress}}
 
 	toRun, toValidate, err := c.classifyPoints(&cfg, em)
 	if err != nil {

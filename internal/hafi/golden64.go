@@ -8,8 +8,8 @@ import (
 
 // GoldenRunW is the optional RunW capability RecordGoldenW needs: the
 // device exposes its lane environment (so the recorder can interleave
-// trace capture between Settle and CommitFFs, exactly like the scalar
-// tracer hooks) and can checkpoint a single lane in the scalar target's
+// trace capture between Settle and CommitFFs, exactly like RecordGolden
+// with Run.Env) and can checkpoint a single lane in the scalar target's
 // Checkpoint format, so the recorded Golden is interchangeable with one
 // from RecordGolden — the sequential engine Restores from it and the wide
 // engine's devices LoadCheckpoint from it without knowing who recorded it.

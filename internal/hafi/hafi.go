@@ -25,7 +25,11 @@
 // logs every classified point, and a journal.Recovered that resumes a
 // crashed campaign by replaying already-classified points — the merged
 // result is identical to an uninterrupted run. A panicking experiment is
-// classified OutcomeHarnessError instead of taking down its worker shard.
+// classified OutcomeHarnessError instead of aborting the campaign.
+//
+// The product engine is the wide one (RunW, RunCampaignBatchedPoolWithW).
+// The scalar Run and Controller.RunCampaign are the oracle it is scored
+// against: one plain sequential loop over the fault list.
 package hafi
 
 import (
@@ -34,8 +38,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -45,10 +47,14 @@ import (
 )
 
 // Run is one executable instance of the device under test: the emulated
-// netlist plus its external memories. A fresh Run starts at reset.
+// netlist plus its external memories. A fresh Run starts at reset. It is
+// the scalar reference the wide engine's verdicts are checked against.
 type Run interface {
 	// Machine exposes the simulated netlist state.
 	Machine() *sim.Machine
+	// Env returns the environment Step drives the machine with, so
+	// RecordGolden can capture the wire trace between Settle and CommitFFs.
+	Env() sim.Env
 	// Step advances one clock cycle (including memory traffic).
 	Step()
 	// Halted reports whether the workload finished.
@@ -127,34 +133,12 @@ func RecordGolden(r Run, maxCycles int) (*Golden, error) {
 		}
 		g.Checkpoints = append(g.Checkpoints, r.Checkpoint())
 		g.MemDigests = append(g.MemDigests, r.MemDigest())
-		r.Machine().Settle(envOf(r))
-		g.Trace.Append(r.Machine().Values())
-		r.Machine().CommitFFs()
-		stepEpilogue(r)
+		m := r.Machine()
+		m.Settle(r.Env())
+		g.Trace.Append(m.Values())
+		m.CommitFFs()
 	}
 	return nil, fmt.Errorf("hafi: golden run did not halt within %d cycles", maxCycles)
-}
-
-// envOf and stepEpilogue let RecordGolden drive the machine manually while
-// still recording wire values mid-cycle. Run implementations provide them
-// via the optional tracer interface; the default falls back to Step (no
-// wire trace).
-type tracer interface {
-	TraceEnv() sim.Env
-	AfterStep()
-}
-
-func envOf(r Run) sim.Env {
-	if t, ok := r.(tracer); ok {
-		return t.TraceEnv()
-	}
-	return sim.NopEnv
-}
-
-func stepEpilogue(r Run) {
-	if t, ok := r.(tracer); ok {
-		t.AfterStep()
-	}
 }
 
 // FaultPoint identifies one injection under a fault model. In the zero
@@ -225,11 +209,6 @@ func (p FaultPoint) plainSEU() bool {
 type CampaignConfig struct {
 	// Points is the fault list (already sampled/sliced by the caller).
 	Points []FaultPoint
-	// Workers shards the experiments over this many device instances
-	// (requires a controller created with NewControllerPool). 0 or 1 runs
-	// sequentially. RunCampaign only: the wide engine runs one worker per
-	// device of the pool it is given.
-	Workers int
 	// TimeoutFactor bounds experiment length: an experiment hangs when it
 	// exceeds TimeoutFactor × golden halt cycle. Zero selects the default
 	// of 2; NaN, negative or sub-1 factors (which would time out the
@@ -254,9 +233,8 @@ type CampaignConfig struct {
 	// Interrupted=true.
 	Context context.Context
 	// Journal, when non-nil, receives one durable record per classified
-	// point (concurrent-safe; shared by all worker shards). A journal
-	// write failure aborts the campaign — a silently lossy journal would
-	// defeat crash recovery.
+	// point. A journal write failure aborts the campaign — a silently lossy
+	// journal would defeat crash recovery.
 	Journal *journal.Writer
 	// Resume replays points already classified by a previous run of the
 	// same campaign: recovered records are merged into the result without
@@ -265,8 +243,8 @@ type CampaignConfig struct {
 	Resume *journal.Recovered
 	// Progress, when non-nil, is called after every newly classified point
 	// with the running count of points classified in this run (replayed
-	// Resume records excluded). It may be called concurrently from worker
-	// shards and must be safe for that.
+	// Resume records excluded). Both engines call it from the goroutine
+	// that classifies or journals the point, never concurrently.
 	Progress func(done int)
 	// Obs, when non-nil, receives campaign metrics (points done, injections,
 	// pruned/replayed counts, outcome histogram, batch lane occupancy,
@@ -328,22 +306,6 @@ func (r *CampaignResult) PrunedFraction() float64 {
 	return float64(r.Skipped) / float64(r.Total)
 }
 
-// merge folds a shard-partial result into r.
-func (r *CampaignResult) merge(p *CampaignResult) {
-	r.Total += p.Total
-	r.Skipped += p.Skipped
-	r.Executed += p.Executed
-	r.SkippedWrong += p.SkippedWrong
-	for o, n := range p.ByOutcome {
-		r.ByOutcome[o] += n
-	}
-	for m, n := range p.PrunedByMATE {
-		r.PrunedByMATE[m] += n
-	}
-	r.Converged += p.Converged
-	r.CyclesSaved += p.CyclesSaved
-}
-
 // replay merges one recovered journal record without re-execution. hit, when
 // non-nil, is the point's recovered attribution record; it is credited only
 // for a pruned point (an orphan hit whose experiment record was lost to a
@@ -374,12 +336,13 @@ func replayHit(res *journal.Recovered, idx uint64) *journal.MATEHit {
 
 // Controller is the campaign controller: the software model of the FI
 // control unit that HAFI platforms realise as a soft core or dedicated FSM
-// on the FPGA.
+// on the FPGA. It drives the wide engine (RunCampaignBatchedPoolWithW) and
+// the oracle that engine is checked against (RunCampaign on its one scalar
+// Run).
 type Controller struct {
-	nl      *netlist.Netlist
-	run     Run
-	factory func() Run
-	golden  *Golden
+	nl     *netlist.Netlist
+	run    Run
+	golden *Golden
 	// ffQ caches the Q wire of every flip-flop for the convergence check
 	// (hot path: one comparison per FF per cycle).
 	ffQ []int32
@@ -396,29 +359,22 @@ type indexedMATE struct {
 	idx int
 }
 
-// NewController prepares a controller for the given device instance and
-// golden reference.
+// NewController prepares a controller for the given scalar device instance
+// and golden reference.
 func NewController(run Run, golden *Golden) *Controller {
-	return newController(run, nil, golden)
-}
-
-// NewControllerPool prepares a controller that can shard experiments over
-// several device instances (one per worker); the factory must produce runs
-// of the same netlist and workload the golden reference was recorded from —
-// the paper's scenario of "one FI controller distributing the FI campaign
-// over several FPGAs".
-func NewControllerPool(factory func() Run, golden *Golden) *Controller {
-	return newController(factory(), factory, golden)
-}
-
-func newController(run Run, factory func() Run, golden *Golden) *Controller {
 	nl := run.Machine().NL
-	c := &Controller{nl: nl, run: run, factory: factory, golden: golden}
+	c := &Controller{nl: nl, run: run, golden: golden}
 	c.ffQ = make([]int32, len(nl.FFs))
 	for i := range nl.FFs {
 		c.ffQ[i] = int32(nl.FFs[i].Q)
 	}
 	return c
+}
+
+// NewControllerPool is NewController(factory(), golden). It is kept only
+// for the benchmark harness, which names it; nothing shards scalar runs.
+func NewControllerPool(factory func() Run, golden *Golden) *Controller {
+	return NewController(factory(), golden)
 }
 
 // JournalHeader returns the journal identity of a campaign over the given
@@ -570,25 +526,24 @@ func (c *Controller) checkResume(cfg *CampaignConfig) error {
 	return nil
 }
 
-// progress fans the per-point Progress callback out of the worker shards.
+// progressCounter feeds the Progress callback the running count of newly
+// classified points.
 type progressCounter struct {
 	fn func(int)
-	n  atomic.Int64
-}
-
-func newProgress(fn func(int)) *progressCounter {
-	return &progressCounter{fn: fn}
+	n  int
 }
 
 func (pc *progressCounter) bump() {
-	n := pc.n.Add(1)
+	pc.n++
 	if pc.fn != nil {
-		pc.fn(int(n))
+		pc.fn(pc.n)
 	}
 }
 
-// RunCampaign executes the configured campaign and returns the aggregated
-// result.
+// RunCampaign is the oracle: it executes the configured campaign on the
+// controller's one scalar Run, point after point in fault-list order, and
+// returns the aggregated result. The wide engine is checked against its
+// verdicts, attribution and convergence statistics.
 func (c *Controller) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	timeout, err := c.prepareCampaign(&cfg)
 	if err != nil {
@@ -597,25 +552,11 @@ func (c *Controller) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	sp := cfg.Obs.StartSpan("campaign")
 	defer sp.End()
 	met := newCampaignMetrics(cfg.Obs, len(cfg.Points))
-	if cfg.Workers > 1 && c.factory != nil {
-		return c.runParallel(cfg, timeout, met)
-	}
 	met.setWorkers(1)
 	met.workerBusy(1)
+	defer met.workerBusy(-1)
 	res := newCampaignResult()
-	err = c.runShard(cfg, 0, cfg.Points, c.run, timeout, res, newProgress(cfg.Progress), met)
-	met.workerBusy(-1)
-	if err != nil {
-		return nil, err
-	}
-	res.Interrupted = cfg.context().Err() != nil
-	return res, nil
-}
-
-// runShard executes one slice of the fault list on one device instance.
-// base is the slice's offset in the campaign fault list (journal records
-// are keyed by global point index).
-func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint, run Run, timeout int, res *CampaignResult, prog *progressCounter, met *campaignMetrics) error {
+	prog := &progressCounter{fn: cfg.Progress}
 	ctx := cfg.context()
 	early := !cfg.DisableEarlyExit
 	// converged credits one early-exited execution (validation re-runs of
@@ -628,8 +569,8 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 			met.convergedN(1, int64(saved))
 		}
 	}
-	for i, p := range points {
-		idx := uint64(base + i)
+	for i, p := range cfg.Points {
+		idx := uint64(i)
 		if cfg.Resume != nil {
 			if rec, ok := cfg.Resume.ByIndex[idx]; ok {
 				res.replay(rec, replayHit(cfg.Resume, idx))
@@ -638,7 +579,7 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 			}
 		}
 		if ctx.Err() != nil {
-			return nil // graceful drain: stop starting new experiments
+			break // graceful drain: stop starting new experiments
 		}
 		rec := pointRecord(idx, p)
 		res.Total++
@@ -655,7 +596,7 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 			hit = &journal.MATEHit{Index: idx, FF: uint32(p.FF), MATE: uint32(mate), Width: uint16(width)}
 			met.matePruned(mate, width)
 			if cfg.ValidateSkipped {
-				out, saved := c.safeExecute(&run, p, timeout, early)
+				out, saved := c.safeExecute(p, timeout, early)
 				converged(saved)
 				if out != OutcomeBenign {
 					res.SkippedWrong++
@@ -663,7 +604,7 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 				}
 			}
 		} else {
-			out, saved := c.safeExecute(&run, p, timeout, early)
+			out, saved := c.safeExecute(p, timeout, early)
 			converged(saved)
 			res.Executed++
 			res.ByOutcome[out]++
@@ -675,86 +616,31 @@ func (c *Controller) runShard(cfg CampaignConfig, base int, points []FaultPoint,
 			// never a pruned point without attribution.
 			if hit != nil {
 				if err := cfg.Journal.AppendMATEHit(*hit); err != nil {
-					return err
+					return nil, err
 				}
 			}
 			if err := cfg.Journal.Append(rec); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		met.point(rec)
 		prog.bump()
 	}
-	return nil
+	res.Interrupted = ctx.Err() != nil
+	return res, nil
 }
 
 // safeExecute runs one experiment with panic isolation: a panicking device
-// model yields OutcomeHarnessError instead of killing the worker shard,
-// and the (possibly corrupted) instance is replaced from the pool factory
-// so subsequent experiments start from a healthy device.
-func (c *Controller) safeExecute(run *Run, p FaultPoint, timeout int, early bool) (out Outcome, saved int) {
+// model yields OutcomeHarnessError instead of aborting the campaign. The
+// device needs no repair: the next experiment's Restore rewrites its
+// flip-flops, inputs, memory, digest and cycle.
+func (c *Controller) safeExecute(p FaultPoint, timeout int, early bool) (out Outcome, saved int) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, saved = OutcomeHarnessError, 0
-			if c.factory != nil {
-				*run = c.factory()
-			}
 		}
 	}()
-	return c.execute(*run, p, timeout, early)
-}
-
-// runParallel shards the fault list over Workers device instances.
-func (c *Controller) runParallel(cfg CampaignConfig, timeout int, met *campaignMetrics) (*CampaignResult, error) {
-	nw := cfg.Workers
-	if nw > len(cfg.Points) {
-		nw = len(cfg.Points)
-	}
-	met.setWorkers(nw)
-	partials := make([]*CampaignResult, nw)
-	errs := make([]error, nw)
-	prog := newProgress(cfg.Progress)
-	var wg sync.WaitGroup
-	chunk := (len(cfg.Points) + nw - 1) / nw
-	for i := 0; i < nw; i++ {
-		lo, hi := i*chunk, (i+1)*chunk
-		if hi > len(cfg.Points) {
-			hi = len(cfg.Points)
-		}
-		if lo >= hi {
-			continue
-		}
-		partials[i] = newCampaignResult()
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			// Shard-level backstop: a panic outside the per-experiment
-			// isolation (device construction, MATE evaluation) surfaces as
-			// an error instead of crashing the campaign.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("hafi: worker shard %d panicked: %v", i, r)
-				}
-			}()
-			met.workerBusy(1)
-			defer met.workerBusy(-1)
-			errs[i] = c.runShard(cfg, lo, cfg.Points[lo:hi], c.factory(), timeout, partials[i], prog, met)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := newCampaignResult()
-	for _, p := range partials {
-		if p != nil {
-			res.merge(p)
-		}
-	}
-	res.Interrupted = cfg.context().Err() != nil
-	return res, nil
+	return c.execute(c.run, p, timeout, early)
 }
 
 // indexMATEs builds the per-wire MATE index used by provedBenign. Walking

@@ -30,8 +30,8 @@ func NewNetlistRun(nl *netlist.Netlist, halted netlist.WireID, drive func(cycle 
 // Machine implements Run.
 func (r *NetlistRun) Machine() *sim.Machine { return r.m }
 
-// TraceEnv implements the tracer hook used by RecordGolden.
-func (r *NetlistRun) TraceEnv() sim.Env {
+// Env implements Run.
+func (r *NetlistRun) Env() sim.Env {
 	return sim.EnvFunc(func(m *sim.Machine) {
 		if r.drive != nil {
 			r.drive(m.Cycle, m)
@@ -39,11 +39,8 @@ func (r *NetlistRun) TraceEnv() sim.Env {
 	})
 }
 
-// AfterStep implements the tracer hook.
-func (r *NetlistRun) AfterStep() {}
-
 // Step implements Run.
-func (r *NetlistRun) Step() { r.m.Step(r.TraceEnv()) }
+func (r *NetlistRun) Step() { r.m.Step(r.Env()) }
 
 // Halted implements Run.
 func (r *NetlistRun) Halted() bool { return r.m.Value(r.halted) }

@@ -227,21 +227,6 @@ func TestCrashResumeSequentialPruned(t *testing.T) {
 		nil, []int{3, len(points) / 2})
 }
 
-func TestCrashResumeParallel(t *testing.T) {
-	c := avr.NewCore()
-	prog := avr.MustAssemble(smallAVRProgram)
-	factory := func() Run { return NewAVRRun(avr.NewCore(), prog) }
-	g, err := RecordGolden(factory(), 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := NewControllerPool(factory, g)
-	points := SampledFaultList(c.NL, g.HaltCycle, 13)
-	checkResumeEquivalence(t, ctl,
-		CampaignConfig{Points: points, Workers: 3},
-		nil, []int{2, len(points) / 2})
-}
-
 func TestCrashResumeBatched(t *testing.T) {
 	c, prog, g, r := goldenAVR(t)
 	run64, err := NewAVRRunW(c, prog, 64)
@@ -436,37 +421,6 @@ func TestPanicIsolationSequential(t *testing.T) {
 			t.Fatalf("point %d disturbed by neighbouring panic: got %+v, want %+v", idx, rec, want)
 		}
 	}
-}
-
-func TestPanicIsolationParallel(t *testing.T) {
-	c := avr.NewCore()
-	prog := avr.MustAssemble(smallAVRProgram)
-	g, err := RecordGolden(NewAVRRun(avr.NewCore(), prog), 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := uniqueCyclePoints(g, 12, len(c.NL.FFs))
-	tripped := new(atomic.Bool)
-	factory := func() Run {
-		return &panicRun{
-			Run:       NewAVRRun(avr.NewCore(), prog),
-			golden:    g,
-			tripCycle: points[5].Cycle,
-			tripped:   tripped,
-		}
-	}
-	ctl := NewControllerPool(factory, g)
-	res, err := ctl.RunCampaign(CampaignConfig{Points: points, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ByOutcome[OutcomeHarnessError] != 1 {
-		t.Fatalf("harness errors = %d, want 1 (%+v)", res.ByOutcome[OutcomeHarnessError], res)
-	}
-	if res.Total != len(points) || res.Executed != len(points) {
-		t.Fatalf("other shards did not survive the panic: %+v", res)
-	}
-	checkConsistent(t, res)
 }
 
 // panicRunW panics whenever the campaign injects into tripFF: the whole

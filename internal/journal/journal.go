@@ -314,8 +314,15 @@ func recoverFile(path string) (*Recovered, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	return decode(data, path)
+}
+
+// decode recovers the journal image data (named name in errors). The
+// damage-walk tests call it directly, so each mutated image is checked
+// without a round trip through the file system.
+func decode(data []byte, name string) (*Recovered, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("journal: %s is not a campaign journal (bad magic)", path)
+		return nil, fmt.Errorf("journal: %s is not a campaign journal (bad magic)", name)
 	}
 	r := &Recovered{ByIndex: map[uint64]Record{}, HitByIndex: map[uint64]MATEHit{}}
 	off := len(magic)

@@ -83,13 +83,8 @@ func TestTornTail(t *testing.T) {
 		pos += 8 + int(binary.LittleEndian.Uint32(data[pos:]))
 		boundary[pos] = true
 	}
-	dir := t.TempDir()
-	cut := filepath.Join(dir, "cut.journal")
 	for n := 0; n < len(data); n++ {
-		if err := os.WriteFile(cut, data[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Recover(cut)
+		r, err := decode(data[:n], "cut.journal")
 		if n < len(magic) {
 			if err == nil {
 				t.Fatalf("cut at %d: expected bad-magic error", n)
@@ -120,16 +115,11 @@ func TestBitFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	flipped := filepath.Join(dir, "flipped.journal")
 	for pos := 0; pos < len(data); pos++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(data)
 			mut[pos] ^= 1 << bit
-			if err := os.WriteFile(flipped, mut, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			r, err := Recover(flipped)
+			r, err := decode(mut, "flipped.journal")
 			if err != nil {
 				continue // flip inside the magic — rejected outright, fine
 			}
@@ -324,11 +314,7 @@ func FuzzRecover(f *testing.F) {
 	f.Add([]byte(magic))
 	f.Add([]byte("HAFIWAL1\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "fuzz.journal")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Skip()
-		}
-		r, err := Recover(p)
+		r, err := decode(data, "fuzz.journal")
 		if err != nil {
 			return
 		}

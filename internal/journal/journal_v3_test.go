@@ -145,12 +145,8 @@ func TestV3TornTail(t *testing.T) {
 		pos += 8 + int(binary.LittleEndian.Uint32(data[pos:]))
 		boundary[pos] = true
 	}
-	cut := filepath.Join(t.TempDir(), "cut.journal")
 	for n := len(magic); n < len(data); n++ {
-		if err := os.WriteFile(cut, data[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Recover(cut)
+		r, err := decode(data[:n], "cut.journal")
 		if err != nil {
 			t.Fatalf("cut at %d: %v", n, err)
 		}
@@ -173,15 +169,11 @@ func TestV3BitFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipped := filepath.Join(t.TempDir(), "flipped.journal")
 	for pos := 0; pos < len(data); pos++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(data)
 			mut[pos] ^= 1 << bit
-			if err := os.WriteFile(flipped, mut, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			r, err := Recover(flipped)
+			r, err := decode(mut, "flipped.journal")
 			if err != nil {
 				continue // flip inside the magic
 			}

@@ -32,10 +32,9 @@ func (f EnvFunc) SetInputs(m *Machine) { f(m) }
 var NopEnv Env = EnvFunc(func(*Machine) {})
 
 // Machine simulates one netlist instance, one bool per wire. It is the
-// independent oracle: the scalar golden recording, the sequential
+// oracle and nothing else: the scalar golden recording, the sequential
 // Controller.RunCampaign and the differential suites run on it, and it
-// shares no evaluation code with MachineW; nothing on the wide campaign
-// path uses it. The zero value is not usable; create machines with New.
+// shares no evaluation code with MachineW; no wide campaign steps it. The zero value is not usable; create machines with New.
 type Machine struct {
 	NL     *netlist.Netlist
 	Cycle  int

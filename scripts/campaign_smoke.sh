@@ -8,6 +8,10 @@
 # signal path as well, tolerating the race between signal delivery and
 # campaign completion.
 #
+# Before that, out-of-range -lanes values must be refused up front by
+# cmd/campaign and cmd/campaignworker, and examples/hafi-campaign must pass
+# its own soundness checks.
+#
 # A further section starts a campaign with -metrics-addr and scrapes the
 # live /metrics endpoint mid-flight: the injection and journal counters must
 # be non-zero while the campaign is still running.
@@ -24,7 +28,43 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/campaign" ./cmd/campaign
+go build -o "$tmp/campaignworker" ./cmd/campaignworker
 args=(-cpu avr -prog fib -stride 300 -noprune)
+
+echo "== -lanes is validated before any work"
+# A lane count that is not a multiple of 64, or above 65536, is a usage
+# error (exit 2). The worker points at a port nothing listens on: it must
+# refuse before its first request, not after the spec fetch's retries.
+for bad in 100 65600; do
+    rc=0
+    timeout 20 "$tmp/campaign" "${args[@]}" -lanes "$bad" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "FAIL: campaign -lanes $bad exited $rc, want 2" >&2
+        exit 1
+    fi
+    rc=0
+    timeout 20 "$tmp/campaignworker" -coordinator http://127.0.0.1:1 -lanes "$bad" \
+        > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "FAIL: campaignworker -lanes $bad exited $rc, want 2" >&2
+        exit 1
+    fi
+done
+
+echo "== examples/hafi-campaign"
+# The example's own checks gate: it exits non-zero on a validation
+# violation or when pruning changes the SDC or hang count.
+go run ./examples/hafi-campaign > "$tmp/example.out" || {
+    echo "FAIL: examples/hafi-campaign failed" >&2
+    cat "$tmp/example.out" >&2
+    exit 1
+}
+grep -q ', 0 violations$' "$tmp/example.out" &&
+    grep -q 'SDC and hang counts unchanged' "$tmp/example.out" || {
+    echo "FAIL: examples/hafi-campaign did not report a clean validation" >&2
+    cat "$tmp/example.out" >&2
+    exit 1
+}
 
 # Stable result lines: everything except timing.
 summary() {

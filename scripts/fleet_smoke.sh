@@ -14,7 +14,10 @@
 # with -trace and -log-json, one worker is throttled so the coordinator
 # must flag it as a straggler, /status is scraped mid-run (per-worker
 # throughput, ETA, anomaly feed), and the stitched Perfetto trace is
-# validated with campaignreport -check-trace after the merge.
+# validated with campaignreport -check-trace after the merge. The other
+# workers are throttled five times less (1 ms per point): on a fast machine
+# an unthrottled worker finishes the whole list within a heartbeat or two,
+# before it can be killed mid-run or measured next to the straggler.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,7 +75,7 @@ case "$zlease" in
 esac
 
 echo "== worker SIGKILLed mid-run"
-"$tmp/campaignworker" -coordinator "$base" -name victim -dir "$tmp/victim" \
+"$tmp/campaignworker" -coordinator "$base" -name victim -dir "$tmp/victim" -throttle 1ms \
     > "$tmp/victim.out" 2>&1 &
 vpid=$!
 pids+=("$vpid")
@@ -86,7 +89,7 @@ echo "== honest workers finish the campaign (slowpoke throttled to force a strag
 pids+=("$!")
 sleep 0.3
 for w in w2 w3; do
-    "$tmp/campaignworker" -coordinator "$base" -name "$w" -dir "$tmp/$w" \
+    "$tmp/campaignworker" -coordinator "$base" -name "$w" -dir "$tmp/$w" -throttle 1ms \
         > "$tmp/$w.out" 2>&1 &
     pids+=("$!")
 done
