@@ -164,7 +164,7 @@ func BenchmarkCampaign(b *testing.B) {
 // timed loop, so the measured cost is experiment execution alone.
 func campaignBenchInputs(b *testing.B) (*experiments.CPUCase, *hafi.Controller, hafi.CampaignConfig) {
 	c := experiments.PrepareAVR()
-	run := c.NewRun(c.FibProg)
+	run := c.Fib.NewRun()
 	golden, err := hafi.RecordGolden(run, 1<<20)
 	if err != nil {
 		b.Fatal(err)
@@ -196,7 +196,7 @@ func BenchmarkCampaignWide(b *testing.B) {
 	c, ctl, cfg := campaignBenchInputs(b)
 	for _, lanes := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			runw, err := c.NewRunW(c.FibProg, lanes)
+			runw, err := c.Fib.NewRunW(lanes)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func BenchmarkCampaignWide(b *testing.B) {
 // BenchmarkCampaignWide; the delta to lanes=256 is the multi-core scaling).
 func BenchmarkCampaignPool(b *testing.B) {
 	c, ctl, cfg := campaignBenchInputs(b)
-	runs, err := c.NewPool(c.FibProg, hafi.DefaultCampaignLanes, runtime.GOMAXPROCS(0), len(cfg.Points))
+	runs, err := c.Fib.Pool(hafi.DefaultCampaignLanes, runtime.GOMAXPROCS(0), len(cfg.Points))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func BenchmarkVerilogRoundTrip(b *testing.B) {
 // avoid by emulating in hardware).
 func BenchmarkGateLevelSim(b *testing.B) {
 	c := experiments.PrepareAVR()
-	run := c.NewRun(c.FibProg)
+	run := c.Fib.NewRun()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run.Step()
@@ -372,18 +372,18 @@ type stepLayerDevice interface {
 func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int)) {
 	avrCase, mspCase := experiments.PrepareAVR(), experiments.PrepareMSP430()
 	for _, cpu := range []struct {
-		c    *experiments.CPUCase
-		prog []uint16
+		c      *experiments.CPUCase
+		target *hafi.Target
 	}{
-		{avrCase, avrCase.FibProg},
-		{mspCase, mspCase.ConvProg},
+		{avrCase, avrCase.Fib},
+		{mspCase, mspCase.Conv},
 	} {
-		c, prog := cpu.c, cpu.prog
-		golden, err := hafi.RecordGolden(c.NewRun(prog), 1<<20)
+		c, target := cpu.c, cpu.target
+		golden, err := hafi.RecordGolden(target.NewRun(), 1<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
-		run, err := c.NewRunW(prog, 256)
+		run, err := target.NewRunW(256)
 		if err != nil {
 			b.Fatal(err)
 		}

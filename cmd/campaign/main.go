@@ -30,14 +30,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpu/avr"
-	"repro/internal/cpu/msp430"
 	"repro/internal/hafi"
 	"repro/internal/journal"
 	"repro/internal/lint"
-	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/progs"
 )
 
 // obsCleanup flushes -stats-json and stops the /metrics endpoint; installed
@@ -71,15 +67,9 @@ func main() {
 
 	// Argument hardening: a typo must produce a usage error, not a silent
 	// fall-through to the default workload.
-	switch *cpu {
-	case "avr", "msp430":
-	default:
-		usage("unknown cpu %q (want avr or msp430)", *cpu)
-	}
-	switch *prog {
-	case "fib", "conv", "sort":
-	default:
-		usage("unknown workload %q (want fib, conv or sort)", *prog)
+	target, err := hafi.NewTarget(*cpu, *prog)
+	if err != nil {
+		usage("%v", err)
 	}
 	if *stride < 1 {
 		usage("-stride %d out of range (want >= 1)", *stride)
@@ -101,55 +91,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var run hafi.Run
-	var newRunW func(lanes int) (hafi.RunW, error)
-	var nl *netlist.Netlist
-	var groups []string
-	switch *cpu {
-	case "avr":
-		c := avr.NewCore()
-		nl = c.NL
-		p := progs.AVRFib()
-		switch *prog {
-		case "conv":
-			p = progs.AVRConv()
-		case "sort":
-			p = progs.AVRSort()
-		}
-		run = hafi.NewAVRRun(c, p)
-		newRunW = func(lanes int) (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), p, lanes) }
-		groups = []string{avr.GroupRegFile}
-	case "msp430":
-		c := msp430.NewCore()
-		nl = c.NL
-		p := progs.MSP430Fib()
-		switch *prog {
-		case "conv":
-			p = progs.MSP430Conv()
-		case "sort":
-			p = progs.MSP430Sort()
-		}
-		run = hafi.NewMSP430Run(c, p)
-		newRunW = func(lanes int) (hafi.RunW, error) { return hafi.NewMSP430RunW(msp430.NewCore(), p, lanes) }
-		groups = []string{msp430.GroupRegFile}
-	}
+	nl := target.NL
 	if err := lint.Preflight(os.Stderr, nl, *strict); err != nil {
 		fail(err)
 	}
+	groups := target.RFGroups
 	if !*noRF {
 		groups = nil
 	}
 
-	// The golden run is recorded on a 64-lane wide device (lane 0 carries
-	// it): the same Golden as the scalar recorder's, at a fraction of the
-	// wall time.
 	start := time.Now()
 	gsp := reg.StartSpan("golden")
-	grun, err := newRunW(64)
-	if err != nil {
-		fail(err)
-	}
-	golden, err := hafi.RecordGoldenW(grun, 1<<20)
+	golden, err := target.Golden()
 	gsp.End()
 	if err != nil {
 		fail(err)
@@ -173,7 +126,7 @@ func main() {
 	}
 
 	points := hafi.ModelFaultList(nl, golden.HaltCycle, *stride, modelSpec, groups...)
-	ctl := hafi.NewController(run, golden)
+	ctl := hafi.NewController(target.NewRun(), golden)
 
 	var jw *journal.Writer
 	var recovered *journal.Recovered
@@ -228,12 +181,9 @@ func main() {
 	}
 
 	start = time.Now()
-	// No more devices than the fault list can fill at once.
-	runs := make([]hafi.RunW, max(1, min(*workers, (len(points)+*lanes-1) / *lanes)))
-	for i := range runs {
-		if runs[i], err = newRunW(*lanes); err != nil {
-			fail(err)
-		}
+	runs, err := target.Pool(*lanes, *workers, len(points))
+	if err != nil {
+		fail(err)
 	}
 	res, err := ctl.RunCampaignBatchedPoolWithW(cfg, runs)
 	if err != nil {

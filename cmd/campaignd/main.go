@@ -56,15 +56,9 @@ func main() {
 
 	// Argument hardening up front: a bad flag must be a usage error before
 	// the golden run burns a minute of CPU.
-	switch *cpu {
-	case "avr", "msp430":
-	default:
-		usage("unknown cpu %q (want avr or msp430)", *cpu)
-	}
-	switch *prog {
-	case "fib", "conv", "sort":
-	default:
-		usage("unknown workload %q (want fib, conv or sort)", *prog)
+	target, err := hafi.NewTarget(*cpu, *prog)
+	if err != nil {
+		usage("%v", err)
 	}
 	if *stride < 1 {
 		usage("-stride %d out of range (want >= 1)", *stride)
@@ -106,10 +100,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	target, err := fleet.NewTarget(*cpu, *prog)
-	if err != nil {
-		fail(err)
-	}
 	if err := lint.Preflight(os.Stderr, target.NL, *strict); err != nil {
 		fail(err)
 	}
@@ -118,14 +108,8 @@ func main() {
 		groups = nil
 	}
 
-	// The golden run is recorded on a 64-lane wide device: the same Golden
-	// as the scalar recorder's, at a fraction of the wall time.
 	start := time.Now()
-	grun, err := target.NewRunW(64)
-	if err != nil {
-		fail(err)
-	}
-	golden, err := hafi.RecordGoldenW(grun, 1<<20)
+	golden, err := target.Golden()
 	if err != nil {
 		fail(err)
 	}

@@ -120,14 +120,14 @@ func main() {
 	if err != nil {
 		fail(fmt.Errorf("fetching campaign spec from %s: %w", *coordinator, err))
 	}
-	modelSpec, err := hafi.ParseModelSpec(specModel(spec))
+	modelSpec, err := spec.Model()
 	if err != nil {
 		fail(fmt.Errorf("coordinator advertises unknown fault model %q: %w", spec.FaultModel, err))
 	}
 	fmt.Printf("joining fleet: cpu=%s prog=%s stride=%d model=%s (%d points, golden %016x)\n",
 		spec.CPU, spec.Prog, spec.Stride, modelSpec, spec.NumPoints, spec.GoldenSignature)
 
-	target, err := fleet.NewTarget(spec.CPU, spec.Prog)
+	target, err := hafi.NewTarget(spec.CPU, spec.Prog)
 	if err != nil {
 		fail(err)
 	}
@@ -135,14 +135,8 @@ func main() {
 	if !spec.NoRF {
 		groups = nil
 	}
-	// The golden run is recorded on a 64-lane wide device: the same Golden
-	// as the scalar recorder's, at a fraction of the wall time.
 	start := time.Now()
-	grun, err := target.NewRunW(64)
-	if err != nil {
-		fail(err)
-	}
-	golden, err := hafi.RecordGoldenW(grun, 1<<20)
+	golden, err := target.Golden()
 	if err != nil {
 		fail(err)
 	}
@@ -154,11 +148,9 @@ func main() {
 	}
 	points := hafi.ModelFaultList(target.NL, golden.HaltCycle, spec.Stride, modelSpec, groups...)
 	ctl := hafi.NewController(target.NewRun(), golden)
-	runs := make([]hafi.RunW, *workers)
-	for i := range runs {
-		if runs[i], err = target.NewRunW(*lanes); err != nil {
-			fail(err)
-		}
+	runs, err := target.Pool(*lanes, *workers, len(points))
+	if err != nil {
+		fail(err)
 	}
 	fmt.Printf("reconstructed campaign in %v (%d points, %d device instances)\n",
 		time.Since(start).Round(time.Millisecond), len(points), len(runs))
@@ -185,15 +177,6 @@ func main() {
 		}
 		fail(err)
 	}
-}
-
-// specModel returns the spec's fault model, defaulting to "seu" for specs
-// from coordinators that predate the field.
-func specModel(spec fleet.Spec) string {
-	if spec.FaultModel == "" {
-		return "seu"
-	}
-	return spec.FaultModel
 }
 
 func usage(format string, args ...interface{}) {

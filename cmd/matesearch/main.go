@@ -21,9 +21,8 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/cpu/avr"
-	"repro/internal/cpu/msp430"
 	"repro/internal/exact"
+	"repro/internal/hafi"
 	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -38,6 +37,13 @@ func fail(err error) {
 	fmt.Fprintf(os.Stderr, "matesearch: %v\n", err)
 	obsCleanup()
 	os.Exit(1)
+}
+
+func usage(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "matesearch: "+format+"\n", args...)
+	flag.Usage()
+	obsCleanup()
+	os.Exit(2)
 }
 
 func main() {
@@ -83,27 +89,16 @@ func main() {
 			wires = nl.FFQWires()
 		}
 	} else {
-		switch *cpu {
-		case "avr":
-			c := avr.NewCore()
-			nl = c.NL
-			if *noRF {
-				wires = nl.FFQWires(avr.GroupRegFile)
-			} else {
-				wires = nl.FFQWires()
-			}
-		case "msp430":
-			c := msp430.NewCore()
-			nl = c.NL
-			if *noRF {
-				wires = nl.FFQWires(msp430.GroupRegFile)
-			} else {
-				wires = nl.FFQWires()
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "matesearch: unknown cpu %q\n", *cpu)
-			obsCleanup()
-			os.Exit(2)
+		// The netlist needs no program: the bare core.
+		target, err := hafi.AssembleTarget(*cpu, "")
+		if err != nil {
+			usage("%v", err)
+		}
+		nl = target.NL
+		if *noRF {
+			wires = nl.FFQWires(target.RFGroups...)
+		} else {
+			wires = nl.FFQWires()
 		}
 	}
 	if err := lint.Preflight(os.Stderr, nl, *strict); err != nil {

@@ -23,9 +23,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cpu/avr"
-	"repro/internal/cpu/msp430"
 	"repro/internal/exact"
+	"repro/internal/hafi"
 	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/verilog"
@@ -66,13 +65,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *cpu != "" && *verilogFile != "":
 		fmt.Fprintln(stderr, "netlistlint: -cpu and -verilog are mutually exclusive")
 		return 2
-	case *cpu == "avr":
-		nl = avr.NewCore().NL
-	case *cpu == "msp430":
-		nl = msp430.NewCore().NL
 	case *cpu != "":
-		fmt.Fprintf(stderr, "netlistlint: unknown cpu %q\n", *cpu)
-		return 2
+		// The netlist needs no program: the bare core.
+		target, err := hafi.AssembleTarget(*cpu, "")
+		if err != nil {
+			fmt.Fprintf(stderr, "netlistlint: %v\n", err)
+			return 2
+		}
+		nl = target.NL
 	case *verilogFile != "":
 		f, err := os.Open(*verilogFile)
 		if err != nil {

@@ -19,11 +19,9 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/cpu/avr"
-	"repro/internal/cpu/msp430"
+	"repro/internal/hafi"
 	"repro/internal/intercycle"
 	"repro/internal/lint"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/progs"
 	"repro/internal/prune"
@@ -48,6 +46,11 @@ func main() {
 	obsOpts := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
+	target, err := hafi.NewTarget(*cpu, *prog)
+	if err != nil {
+		usage("%v", err)
+	}
+
 	reg, cleanup, err := obsOpts.Init(os.Stderr)
 	if err != nil {
 		fail(err)
@@ -58,55 +61,20 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var nl *netlist.Netlist
-	var wires []netlist.WireID
-	var tr *sim.Trace
-
-	switch *cpu {
-	case "avr":
-		c := avr.NewCore()
-		nl = c.NL
-		if *noRF {
-			wires = nl.FFQWires(avr.GroupRegFile)
-		} else {
-			wires = nl.FFQWires()
-		}
-		if *vcdFile == "" {
-			p := progs.AVRFib()
-			switch *prog {
-			case "conv":
-				p = progs.AVRConv()
-			case "sort":
-				p = progs.AVRSort()
-			}
-			tr = avr.NewSystem(c, p).Record(*cycles)
-		}
-	case "msp430":
-		c := msp430.NewCore()
-		nl = c.NL
-		if *noRF {
-			wires = nl.FFQWires(msp430.GroupRegFile)
-		} else {
-			wires = nl.FFQWires()
-		}
-		if *vcdFile == "" {
-			p := progs.MSP430Fib()
-			switch *prog {
-			case "conv":
-				p = progs.MSP430Conv()
-			case "sort":
-				p = progs.MSP430Sort()
-			}
-			tr = msp430.NewSystem(c, p).Record(*cycles)
-		}
-	default:
-		fail(fmt.Errorf("unknown cpu %q", *cpu))
+	nl := target.NL
+	wires := nl.FFQWires()
+	if *noRF {
+		wires = nl.FFQWires(target.RFGroups...)
 	}
 	if err := lint.Preflight(os.Stderr, nl, *strict); err != nil {
 		fail(err)
 	}
 
-	if *vcdFile != "" {
+	var tr *sim.Trace
+	if *vcdFile == "" {
+		r := target.NewRun()
+		tr = sim.Record(r.Machine(), r.Env(), *cycles)
+	} else {
 		f, err := os.Open(*vcdFile)
 		if err != nil {
 			fail(err)
@@ -185,6 +153,12 @@ func main() {
 		obsCleanup()
 		os.Exit(130)
 	}
+}
+
+func usage(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "prune: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fail(err error) {

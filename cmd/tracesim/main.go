@@ -12,9 +12,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/cpu/avr"
-	"repro/internal/cpu/msp430"
-	"repro/internal/netlist"
+	"repro/internal/hafi"
 	"repro/internal/obs"
 	"repro/internal/progs"
 	"repro/internal/sim"
@@ -34,38 +32,31 @@ func main() {
 	obsOpts := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	reg, cleanup, oerr := obsOpts.Init(os.Stderr)
-	if oerr != nil {
-		fail(oerr)
+	reg, cleanup, err := obsOpts.Init(os.Stderr)
+	if err != nil {
+		fail(err)
 	}
 	obsCleanup = cleanup
 	defer cleanup()
 
 	// Argument hardening: a typo must produce a usage error, not a silent
 	// fall-through to a default workload.
-	switch *cpu {
-	case "avr", "msp430":
-	default:
-		usage("unknown cpu %q (want avr or msp430)", *cpu)
-	}
-	switch *prog {
-	case "fib", "conv", "sort":
-	default:
-		usage("unknown workload %q (want fib, conv or sort)", *prog)
+	target, err := hafi.NewTarget(*cpu, *prog)
+	if err != nil {
+		usage("%v", err)
 	}
 	if *cycles < 1 {
 		usage("-cycles %d out of range (want >= 1)", *cycles)
 	}
 
-	var program []uint16
-	var err error
-	src := ""
 	if *asm != "" {
-		data, rerr := os.ReadFile(*asm)
-		if rerr != nil {
-			fail(rerr)
+		data, err := os.ReadFile(*asm)
+		if err != nil {
+			fail(err)
 		}
-		src = string(data)
+		if target, err = hafi.AssembleTarget(*cpu, string(data)); err != nil {
+			fail(err)
+		}
 	}
 
 	var cyclesDone *obs.Counter
@@ -80,52 +71,10 @@ func main() {
 			Total: reg.Gauge("tracesim_cycles"),
 		})()
 	}
-	record := func(m *sim.Machine, env sim.Env) *sim.Trace {
-		sp := reg.StartSpan("record")
-		defer sp.End()
-		return sim.RecordObserved(m, env, *cycles, onCycle)
-	}
-
-	var nl *netlist.Netlist
-	var tr *sim.Trace
-	switch *cpu {
-	case "avr":
-		switch {
-		case src != "":
-			program, err = avr.Assemble(src)
-		case *prog == "fib":
-			program = progs.AVRFib()
-		case *prog == "conv":
-			program = progs.AVRConv()
-		case *prog == "sort":
-			program = progs.AVRSort()
-		}
-		if err != nil {
-			fail(err)
-		}
-		core := avr.NewCore()
-		nl = core.NL
-		sys := avr.NewSystem(core, program)
-		tr = record(sys.M, sys.Env())
-	case "msp430":
-		switch {
-		case src != "":
-			program, err = msp430.Assemble(src)
-		case *prog == "fib":
-			program = progs.MSP430Fib()
-		case *prog == "conv":
-			program = progs.MSP430Conv()
-		case *prog == "sort":
-			program = progs.MSP430Sort()
-		}
-		if err != nil {
-			fail(err)
-		}
-		core := msp430.NewCore()
-		nl = core.NL
-		sys := msp430.NewSystem(core, program)
-		tr = record(sys.M, sys.Env())
-	}
+	r := target.NewRun()
+	sp := reg.StartSpan("record")
+	tr := sim.RecordObserved(r.Machine(), r.Env(), *cycles, onCycle)
+	sp.End()
 
 	name := *out
 	if name == "" {
@@ -136,7 +85,7 @@ func main() {
 		fail(err)
 	}
 	defer f.Close()
-	if err := vcd.Write(f, nl, tr); err != nil {
+	if err := vcd.Write(f, target.NL, tr); err != nil {
 		fail(err)
 	}
 	fmt.Printf("recorded %d cycles of %d wires to %s\n", tr.NumCycles(), tr.NumWires, name)

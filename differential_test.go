@@ -35,9 +35,9 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 		t.Skip("differential campaign comparison is not short")
 	}
 	c := experiments.PrepareAVR()
-	prog := c.FibProg
+	fib := c.Fib
 
-	run := c.NewRun(prog)
+	run := fib.NewRun()
 	golden, err := hafi.RecordGolden(run, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 	runJournaled := func(name string, exec func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error)) ([]journal.Record, *hafi.CampaignResult) {
 		t.Helper()
 		path := filepath.Join(dir, name+".journal")
-		jw, err := journal.Create(path, hafi.NewController(c.NewRun(prog), golden).JournalHeader(points))
+		jw, err := journal.Create(path, hafi.NewController(fib.NewRun(), golden).JournalHeader(points))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,12 +100,12 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 
 	// Implementation 2: the sequential scalar controller, the oracle.
 	seqRecs, seqRes := runJournaled("sequential", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-		return hafi.NewController(c.NewRun(prog), golden).RunCampaign(cfg)
+		return hafi.NewController(fib.NewRun(), golden).RunCampaign(cfg)
 	})
 
 	// Implementation 3: the wide engine on one 64-lane device.
 	batchRecs, batchRes := runJournaled("batched", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-		return runPool64(c, prog, golden, cfg, 1)
+		return runPool64(fib, golden, cfg, 1)
 	})
 
 	// Implementation 4: a pool of 64-lane devices with the convergence
@@ -114,7 +114,7 @@ func TestDifferentialPruneCampaignBatched(t *testing.T) {
 	// this fault list.
 	fullRecs, fullRes := runJournaled("full-run", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 		cfg.DisableEarlyExit = true
-		return runPool64(c, prog, golden, cfg, runtime.NumCPU())
+		return runPool64(fib, golden, cfg, runtime.NumCPU())
 	})
 	if fullRes.Converged != 0 {
 		t.Errorf("DisableEarlyExit run reports %d converged experiments, want 0", fullRes.Converged)
@@ -182,9 +182,9 @@ func TestDifferentialEarlyExitNoPrune(t *testing.T) {
 		t.Skip("differential campaign comparison is not short")
 	}
 	c := experiments.PrepareAVR()
-	prog := c.FibProg
+	fib := c.Fib
 
-	run := c.NewRun(prog)
+	run := fib.NewRun()
 	golden, err := hafi.RecordGolden(run, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -198,11 +198,11 @@ func TestDifferentialEarlyExitNoPrune(t *testing.T) {
 	runEngine := func(name string, disable bool, workers int) ([]journal.Record, *hafi.CampaignResult) {
 		t.Helper()
 		path := filepath.Join(dir, name+".journal")
-		jw, err := journal.Create(path, hafi.NewController(c.NewRun(prog), golden).JournalHeader(points))
+		jw, err := journal.Create(path, hafi.NewController(fib.NewRun(), golden).JournalHeader(points))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runPool64(c, prog, golden, hafi.CampaignConfig{
+		res, err := runPool64(fib, golden, hafi.CampaignConfig{
 			Points:           points,
 			Journal:          jw,
 			DisableEarlyExit: disable,
@@ -261,10 +261,10 @@ func TestDifferentialEarlyExitNoPrune(t *testing.T) {
 
 // runPool64 runs cfg through the wide engine's one entry point on a pool of
 // up to workers 64-lane devices — W=1 is a width like any other.
-func runPool64(c *experiments.CPUCase, prog []uint16, golden *hafi.Golden, cfg hafi.CampaignConfig, workers int) (*hafi.CampaignResult, error) {
-	runs, err := c.NewPool(prog, 64, workers, len(cfg.Points))
+func runPool64(target *hafi.Target, golden *hafi.Golden, cfg hafi.CampaignConfig, workers int) (*hafi.CampaignResult, error) {
+	runs, err := target.Pool(64, workers, len(cfg.Points))
 	if err != nil {
 		return nil, err
 	}
-	return hafi.NewController(c.NewRun(prog), golden).RunCampaignBatchedPoolWithW(cfg, runs)
+	return hafi.NewController(target.NewRun(), golden).RunCampaignBatchedPoolWithW(cfg, runs)
 }

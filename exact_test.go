@@ -168,9 +168,9 @@ func TestDifferentialExactPruneCampaign(t *testing.T) {
 		t.Skip("differential campaign comparison is not short")
 	}
 	c := experiments.PrepareAVR()
-	prog := c.FibProg
+	fib := c.Fib
 
-	run := c.NewRun(prog)
+	run := fib.NewRun()
 	golden, err := hafi.RecordGolden(run, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestDifferentialExactPruneCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runPool64(c, prog, golden, hafi.CampaignConfig{
+		res, err := runPool64(fib, golden, hafi.CampaignConfig{
 			Points:  points,
 			MATESet: set,
 			Journal: jw,

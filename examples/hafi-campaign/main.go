@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpu/avr"
 	"repro/internal/hafi"
 	"repro/internal/prune"
 )
@@ -42,34 +41,29 @@ loop:
 `
 
 func main() {
-	c := avr.NewCore()
-	prog := avr.MustAssemble(workload)
-	newRunW := func(lanes int) hafi.RunW {
-		r, err := hafi.NewAVRRunW(avr.NewCore(), prog, lanes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r
+	target, err := hafi.AssembleTarget("avr", workload)
+	if err != nil {
+		log.Fatal(err)
 	}
+	nl := target.NL
 
 	// The golden run is recorded on lane 0 of a 64-lane device.
-	golden, err := hafi.RecordGoldenW(newRunW(64), 100000)
+	golden, err := target.Golden()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("golden run: %d cycles, result signature %016x\n", golden.HaltCycle, golden.Signature)
 
-	points := hafi.FullFaultList(c.NL, golden.HaltCycle)
+	points := hafi.FullFaultList(nl, golden.HaltCycle)
 	fmt.Printf("fault space: %d flip-flops × %d cycles = %d points\n\n",
-		len(c.NL.FFs), golden.HaltCycle, len(points))
+		len(nl.FFs), golden.HaltCycle, len(points))
 
 	// One FI controller spreads the campaign over a pool of wide devices, one
 	// per core, each playing one FPGA of the paper's platform.
-	ctl := hafi.NewController(hafi.NewAVRRun(c, prog), golden)
-	lanes := hafi.DefaultCampaignLanes
-	runs := make([]hafi.RunW, max(1, min(runtime.GOMAXPROCS(0), (len(points)+lanes-1)/lanes)))
-	for i := range runs {
-		runs[i] = newRunW(lanes)
+	ctl := hafi.NewController(target.NewRun(), golden)
+	runs, err := target.Pool(hafi.DefaultCampaignLanes, runtime.GOMAXPROCS(0), len(points))
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// --- baseline: no pruning ---------------------------------------------
@@ -84,8 +78,8 @@ func main() {
 		base.ByOutcome[hafi.OutcomeBenign], base.ByOutcome[hafi.OutcomeSDC], base.ByOutcome[hafi.OutcomeHang])
 
 	// --- with online MATE pruning (validated) --------------------------------
-	res := core.Search(c.NL, c.NL.FFQWires(), core.DefaultSearchParams())
-	top := prune.SelectTopN(res.Set, golden.Trace, c.NL.FFQWires(), 100)
+	res := core.Search(nl, nl.FFQWires(), core.DefaultSearchParams())
+	top := prune.SelectTopN(res.Set, golden.Trace, nl.FFQWires(), 100)
 	fmt.Printf("MATE set: %d found, top-100 selected, %d LUTs (%.2f%% of a 1.5k-LUT FI controller)\n",
 		res.Set.Size(), hafi.LUTCost(top), 100*hafi.OverheadVsController(top, hafi.FIControllerLUTsLow))
 

@@ -18,8 +18,6 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/cpu/avr"
-	"repro/internal/cpu/msp430"
 	"repro/internal/hafi"
 	"repro/internal/intercycle"
 	"repro/internal/isafi"
@@ -29,35 +27,18 @@ import (
 	"repro/internal/sim"
 )
 
-// CPUCase bundles one processor with its two recorded workload traces.
+// CPUCase bundles one processor with its two workloads and their recorded
+// traces.
 type CPUCase struct {
 	Name       string
 	NL         *netlist.Netlist
 	FaultAll   []netlist.WireID // every flip-flop ("FF")
 	FaultNoRF  []netlist.WireID // excluding the register file ("FF w/o RF")
+	Fib, Conv  *hafi.Target
 	TraceFib   *sim.Trace
 	TraceConv  *sim.Trace
-	NewRun     func(prog []uint16) hafi.Run
-	NewRunW    func(prog []uint16, lanes int) (hafi.RunW, error)
-	FibProg    []uint16
-	ConvProg   []uint16
-	RegGroup   string
 	TotalFFs   int
 	RegFileFFs int
-}
-
-// NewPool builds the device pool the campaign front-ends build for a fault
-// list of the given size: up to workers devices of the given lane count,
-// and no more than the points can fill at once.
-func (c *CPUCase) NewPool(prog []uint16, lanes, workers, points int) ([]hafi.RunW, error) {
-	runs := make([]hafi.RunW, max(1, min(workers, (points+lanes-1)/lanes)))
-	for i := range runs {
-		var err error
-		if runs[i], err = c.NewRunW(prog, lanes); err != nil {
-			return nil, err
-		}
-	}
-	return runs, nil
 }
 
 var (
@@ -70,54 +51,41 @@ var (
 // and conv traces. Results are cached process-wide (construction is
 // deterministic).
 func PrepareAVR() *CPUCase {
-	prepare()
+	prepOnce.Do(prepare)
 	return prepAVR
 }
 
 // PrepareMSP430 builds the MSP430-class case.
 func PrepareMSP430() *CPUCase {
-	prepare()
+	prepOnce.Do(prepare)
 	return prepMSP
 }
 
 func prepare() {
-	prepOnce.Do(func() {
-		ac := avr.NewCore()
-		fib := progs.AVRFib()
-		conv := progs.AVRConv()
-		prepAVR = &CPUCase{
-			Name:      "AVR",
-			NL:        ac.NL,
-			FaultAll:  ac.NL.FFQWires(),
-			FaultNoRF: ac.NL.FFQWires(avr.GroupRegFile),
-			TraceFib:  avr.NewSystem(ac, fib).Record(progs.TraceCycles),
-			TraceConv: avr.NewSystem(avr.NewCore(), conv).Record(progs.TraceCycles),
-			NewRun:    func(p []uint16) hafi.Run { return hafi.NewAVRRun(avr.NewCore(), p) },
-			NewRunW:   func(p []uint16, lanes int) (hafi.RunW, error) { return hafi.NewAVRRunW(avr.NewCore(), p, lanes) },
-			FibProg:   fib, ConvProg: conv,
-			RegGroup: avr.GroupRegFile,
-		}
-		prepAVR.TotalFFs = len(ac.NL.FFs)
-		prepAVR.RegFileFFs = prepAVR.TotalFFs - len(prepAVR.FaultNoRF)
+	prepAVR = prepareCase("AVR", "avr")
+	prepMSP = prepareCase("MSP430", "msp430")
+}
 
-		mc := msp430.NewCore()
-		mfib := progs.MSP430Fib()
-		mconv := progs.MSP430Conv()
-		prepMSP = &CPUCase{
-			Name:      "MSP430",
-			NL:        mc.NL,
-			FaultAll:  mc.NL.FFQWires(),
-			FaultNoRF: mc.NL.FFQWires(msp430.GroupRegFile),
-			TraceFib:  msp430.NewSystem(mc, mfib).Record(progs.TraceCycles),
-			TraceConv: msp430.NewSystem(msp430.NewCore(), mconv).Record(progs.TraceCycles),
-			NewRun:    func(p []uint16) hafi.Run { return hafi.NewMSP430Run(msp430.NewCore(), p) },
-			NewRunW:   func(p []uint16, lanes int) (hafi.RunW, error) { return hafi.NewMSP430RunW(msp430.NewCore(), p, lanes) },
-			FibProg:   mfib, ConvProg: mconv,
-			RegGroup: msp430.GroupRegFile,
+func prepareCase(name, cpu string) *CPUCase {
+	target := func(prog string) *hafi.Target {
+		t, err := hafi.NewTarget(cpu, prog)
+		if err != nil {
+			panic(err) // built-in names
 		}
-		prepMSP.TotalFFs = len(mc.NL.FFs)
-		prepMSP.RegFileFFs = prepMSP.TotalFFs - len(prepMSP.FaultNoRF)
-	})
+		return t
+	}
+	trace := func(t *hafi.Target) *sim.Trace {
+		r := t.NewRun()
+		return sim.Record(r.Machine(), r.Env(), progs.TraceCycles)
+	}
+	c := &CPUCase{Name: name, Fib: target("fib"), Conv: target("conv")}
+	c.NL = c.Fib.NL
+	c.FaultAll = c.NL.FFQWires()
+	c.FaultNoRF = c.NL.FFQWires(c.Fib.RFGroups...)
+	c.TraceFib, c.TraceConv = trace(c.Fib), trace(c.Conv)
+	c.TotalFFs = len(c.NL.FFs)
+	c.RegFileFFs = c.TotalFFs - len(c.FaultNoRF)
+	return c
 }
 
 // ---------------------------------------------------------------------------
@@ -447,29 +415,21 @@ type CampaignRow struct {
 // device) with one worker per available CPU; the result is identical to
 // the single-instance engine's.
 func Campaign(ctx context.Context, c *CPUCase, workload string, stride int, params core.SearchParams, validate bool) (*CampaignRow, error) {
-	prog := c.FibProg
+	t := c.Fib
 	if workload == "conv" {
-		prog = c.ConvProg
-	}
-	run := c.NewRun(prog)
-	// The golden reference is recorded on a 64-lane wide device (lane 0
-	// carries the run): identical Golden, an order of magnitude cheaper
-	// than the scalar gate walk.
-	grun, err := c.NewRunW(prog, 64)
-	if err != nil {
-		return nil, err
+		t = c.Conv
 	}
 	gsp := params.Obs.StartSpan("golden")
-	golden, err := hafi.RecordGoldenW(grun, 1<<20)
+	golden, err := t.Golden()
 	gsp.End()
 	if err != nil {
 		return nil, err
 	}
 	params.Context = ctx
 	set := core.Search(c.NL, c.FaultAll, params).Set
-	ctl := hafi.NewController(run, golden)
+	ctl := hafi.NewController(t.NewRun(), golden)
 	points := hafi.SampledFaultList(c.NL, golden.HaltCycle, stride)
-	runs, err := c.NewPool(prog, hafi.DefaultCampaignLanes, runtime.GOMAXPROCS(0), len(points))
+	runs, err := t.Pool(hafi.DefaultCampaignLanes, runtime.GOMAXPROCS(0), len(points))
 	if err != nil {
 		return nil, err
 	}
@@ -573,9 +533,9 @@ func CrossLayer(c *CPUCase, stride int) ([]CrossLayerRow, error) {
 	var target isafi.Target
 	switch c.Name {
 	case "AVR":
-		target = isafi.NewAVRTarget(c.FibProg)
+		target = isafi.NewAVRTarget(c.Fib.Prog)
 	default:
-		target = isafi.NewMSP430Target(c.FibProg)
+		target = isafi.NewMSP430Target(c.Fib.Prog)
 	}
 	target.Reset()
 	instrs := 0
@@ -596,13 +556,12 @@ func CrossLayer(c *CPUCase, stride int) ([]CrossLayerRow, error) {
 		Effective: isaRes.EffectiveFraction(),
 	})
 
-	run := c.NewRun(c.FibProg)
-	golden, err := hafi.RecordGolden(run, 1<<20)
+	golden, err := c.Fib.Golden()
 	if err != nil {
 		return nil, err
 	}
-	ctl := hafi.NewController(run, golden)
-	dev, err := c.NewRunW(c.FibProg, hafi.DefaultCampaignLanes)
+	ctl := hafi.NewController(c.Fib.NewRun(), golden)
+	dev, err := c.Fib.NewRunW(hafi.DefaultCampaignLanes)
 	if err != nil {
 		return nil, err
 	}

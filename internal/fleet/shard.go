@@ -154,17 +154,23 @@ func (s Spec) Header() journal.Header {
 	}
 }
 
-// canonicalModel normalises a fault-model string for comparison: empty
-// means "seu", and parseable specs compare in their canonical rendering
-// (so "mbu" and "mbu:2" are the same model).
-func canonicalModel(s string) string {
-	if s == "" {
-		s = "seu"
+// Model parses the campaign fault model. Empty, as from a coordinator that
+// predates the field, means "seu".
+func (s Spec) Model() (hafi.ModelSpec, error) {
+	if s.FaultModel == "" {
+		return hafi.ParseModelSpec("seu")
 	}
-	if spec, err := hafi.ParseModelSpec(s); err == nil {
+	return hafi.ParseModelSpec(s.FaultModel)
+}
+
+// canonicalModel normalises a fault-model string for comparison: parseable
+// models compare in their canonical rendering (so "" and "seu" are the same
+// model, and so are "mbu" and "mbu:2").
+func canonicalModel(model string) string {
+	if spec, err := (Spec{FaultModel: model}).Model(); err == nil {
 		return spec.String()
 	}
-	return s
+	return model
 }
 
 // Check verifies a worker's local reconstruction against the coordinator's

@@ -68,3 +68,17 @@ func TestCampaignRunnerFaultModel(t *testing.T) {
 		t.Errorf("model = %q", got)
 	}
 }
+
+// TestSpecModel: a spec without a fault model (from a coordinator that
+// predates the field) means seu, for the worker and for Check alike.
+func TestSpecModel(t *testing.T) {
+	for model, want := range map[string]string{"": "seu", "seu": "seu", "mbu": "mbu:2"} {
+		got, err := Spec{FaultModel: model}.Model()
+		if err != nil || got.String() != want {
+			t.Errorf("Spec{FaultModel: %q}.Model() = %v, %v; want %s", model, got, err, want)
+		}
+	}
+	if _, err := (Spec{FaultModel: "bogus"}).Model(); err == nil {
+		t.Error("unknown fault model accepted")
+	}
+}

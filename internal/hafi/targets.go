@@ -1,11 +1,114 @@
 package hafi
 
 import (
+	"fmt"
+	"sort"
+	"strings"
+
 	"repro/internal/cpu/avr"
 	"repro/internal/cpu/msp430"
 	"repro/internal/netlist"
+	"repro/internal/progs"
 	"repro/internal/sim"
 )
+
+// targetCore is one row of the target table: a built-in core and its programs.
+type targetCore struct {
+	netlist  func() *netlist.Netlist
+	rfGroup  string
+	assemble func(src string) ([]uint16, error)
+	progs    map[string]string // program name -> assembly source
+	newRun   func(prog []uint16) Run
+	newRunW  func(prog []uint16, lanes int) (RunW, error)
+}
+
+// targets is the one place a cpu name and a program name become a target,
+// so "avr fib" means the same netlist and program in every front end.
+var targets = map[string]targetCore{
+	"avr": {
+		netlist:  func() *netlist.Netlist { return avr.NewCore().NL },
+		rfGroup:  avr.GroupRegFile,
+		assemble: avr.Assemble,
+		progs:    map[string]string{"fib": progs.AVRFibSrc, "conv": progs.AVRConvSrc, "sort": progs.AVRSortSrc},
+		newRun:   func(p []uint16) Run { return NewAVRRun(avr.NewCore(), p) },
+		newRunW:  func(p []uint16, lanes int) (RunW, error) { return NewAVRRunW(avr.NewCore(), p, lanes) },
+	},
+	"msp430": {
+		netlist:  func() *netlist.Netlist { return msp430.NewCore().NL },
+		rfGroup:  msp430.GroupRegFile,
+		assemble: msp430.Assemble,
+		progs:    map[string]string{"fib": progs.MSP430FibSrc, "conv": progs.MSP430ConvSrc, "sort": progs.MSP430SortSrc},
+		newRun:   func(p []uint16) Run { return NewMSP430Run(msp430.NewCore(), p) },
+		newRunW:  func(p []uint16, lanes int) (RunW, error) { return NewMSP430RunW(msp430.NewCore(), p, lanes) },
+	},
+}
+
+// Target is one (cpu, program) pair. RFGroups are the flip-flop groups -norf
+// excludes; NewRun and NewRunW build a fresh core per call.
+type Target struct {
+	NL       *netlist.Netlist
+	RFGroups []string
+	Prog     []uint16
+	NewRun   func() Run
+	NewRunW  func(lanes int) (RunW, error) // lanes: a positive multiple of 64
+}
+
+// NewTarget resolves a cpu and one of its built-in programs. An unknown
+// name is an error that lists the valid ones.
+func NewTarget(cpu, prog string) (*Target, error) {
+	if c, ok := targets[cpu]; ok && c.progs[prog] == "" {
+		return nil, fmt.Errorf("unknown workload %q (want %s)", prog, oneOf(c.progs))
+	}
+	return AssembleTarget(cpu, targets[cpu].progs[prog]) // an unknown cpu fails here
+}
+
+// AssembleTarget resolves a cpu and assembles src as its program. The empty
+// source gives the bare core, for tools that read only NL and RFGroups.
+func AssembleTarget(cpu, src string) (*Target, error) {
+	c, ok := targets[cpu]
+	if !ok {
+		return nil, fmt.Errorf("unknown cpu %q (want %s)", cpu, oneOf(targets))
+	}
+	prog, err := c.assemble(src)
+	if err != nil {
+		return nil, err
+	}
+	return &Target{NL: c.netlist(), RFGroups: []string{c.rfGroup}, Prog: prog,
+		NewRun:  func() Run { return c.newRun(prog) },
+		NewRunW: func(lanes int) (RunW, error) { return c.newRunW(prog, lanes) },
+	}, nil
+}
+
+// oneOf renders a table's names for an error message: "a, b or c".
+func oneOf[V any](m map[string]V) string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+}
+
+// Golden records the golden run on a 64-lane device (lane 0 carries it):
+// the Golden RecordGolden gives on NewRun, at a fraction of the wall time.
+func (t *Target) Golden() (*Golden, error) {
+	r, err := t.NewRunW(64)
+	if err != nil {
+		return nil, err
+	}
+	return RecordGoldenW(r, 1<<20)
+}
+
+// Pool builds up to workers devices of lanes lanes, no more than points fill.
+func (t *Target) Pool(lanes, workers, points int) (runs []RunW, err error) {
+	runs = make([]RunW, max(1, min(workers, (points+lanes-1)/lanes)))
+	for i := range runs {
+		if runs[i], err = t.NewRunW(lanes); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
 
 // scalarRun is the scalar reference run of a built-in core: the gate-level
 // machine, its memory environment, and what a verdict reads besides memory —

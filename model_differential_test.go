@@ -27,9 +27,9 @@ func TestDifferentialFaultModels(t *testing.T) {
 		t.Skip("differential campaign comparison is not short")
 	}
 	c := experiments.PrepareAVR()
-	prog := c.FibProg
+	fib := c.Fib
 
-	golden, err := hafi.RecordGolden(c.NewRun(prog), 1<<20)
+	golden, err := hafi.RecordGolden(fib.NewRun(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDifferentialFaultModels(t *testing.T) {
 			runJournaled := func(name string, mates *core.MATESet, exec func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error)) []journal.Record {
 				t.Helper()
 				path := filepath.Join(dir, name+".journal")
-				ctl := hafi.NewController(c.NewRun(prog), golden)
+				ctl := hafi.NewController(fib.NewRun(), golden)
 				jw, err := journal.Create(path, ctl.JournalHeader(points))
 				if err != nil {
 					t.Fatal(err)
@@ -92,7 +92,7 @@ func TestDifferentialFaultModels(t *testing.T) {
 			// every point executed to halt or timeout.
 			ref := runJournaled("reference", nil, func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 				cfg.DisableEarlyExit = true
-				return hafi.NewController(c.NewRun(prog), golden).RunCampaign(cfg)
+				return hafi.NewController(fib.NewRun(), golden).RunCampaign(cfg)
 			})
 
 			// Every engine × early-exit combination, all with pruning on.
@@ -101,25 +101,25 @@ func TestDifferentialFaultModels(t *testing.T) {
 				exec func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error)
 			}{
 				{"sequential-early", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-					return hafi.NewController(c.NewRun(prog), golden).RunCampaign(cfg)
+					return hafi.NewController(fib.NewRun(), golden).RunCampaign(cfg)
 				}},
 				{"sequential-full", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 					cfg.DisableEarlyExit = true
-					return hafi.NewController(c.NewRun(prog), golden).RunCampaign(cfg)
+					return hafi.NewController(fib.NewRun(), golden).RunCampaign(cfg)
 				}},
 				{"batched-early", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-					return runPool64(c, prog, golden, cfg, 1)
+					return runPool64(fib, golden, cfg, 1)
 				}},
 				{"batched-full", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 					cfg.DisableEarlyExit = true
-					return runPool64(c, prog, golden, cfg, 1)
+					return runPool64(fib, golden, cfg, 1)
 				}},
 				{"pooled-early", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
-					return runPool64(c, prog, golden, cfg, runtime.NumCPU())
+					return runPool64(fib, golden, cfg, runtime.NumCPU())
 				}},
 				{"pooled-full", func(cfg hafi.CampaignConfig) (*hafi.CampaignResult, error) {
 					cfg.DisableEarlyExit = true
-					return runPool64(c, prog, golden, cfg, runtime.NumCPU())
+					return runPool64(fib, golden, cfg, runtime.NumCPU())
 				}},
 			}
 

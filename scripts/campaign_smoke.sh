@@ -9,8 +9,10 @@
 # campaign completion.
 #
 # Before that, out-of-range -lanes values must be refused up front by
-# cmd/campaign and cmd/campaignworker, and examples/hafi-campaign must pass
-# its own soundness checks.
+# cmd/campaign and cmd/campaignworker; an unknown -cpu or -prog name must be
+# a usage error in every front end that takes one; prune and tracesim must
+# run once with valid names; and examples/hafi-campaign must pass its own
+# soundness checks.
 #
 # A further section starts a campaign with -metrics-addr and scrapes the
 # live /metrics endpoint mid-flight: the injection and journal counters must
@@ -27,8 +29,9 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-go build -o "$tmp/campaign" ./cmd/campaign
-go build -o "$tmp/campaignworker" ./cmd/campaignworker
+for bin in campaign campaignworker campaignd prune tracesim matesearch netlistlint; do
+    go build -o "$tmp/$bin" ./cmd/$bin
+done
 args=(-cpu avr -prog fib -stride 300 -noprune)
 
 echo "== -lanes is validated before any work"
@@ -50,6 +53,49 @@ for bad in 100 65600; do
         exit 1
     fi
 done
+
+echo "== -cpu and -prog names are validated before any work"
+# Every front end resolves its names through one table; an unknown name is
+# a usage error (exit 2). The extra flags keep a binary that wrongly accepts
+# the name away from long work (and campaignd from a missing -dir).
+expect_usage() {
+    local rc=0
+    timeout 60 "$@" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "FAIL: ${*#"$tmp/"} exited $rc, want 2" >&2
+        exit 1
+    fi
+}
+quick_args() {
+    case "$1" in
+    campaign) echo "-stride 100000 -noprune" ;;
+    campaignd) echo "-dir $tmp/names -addr 127.0.0.1:0 -noprune" ;;
+    prune) echo "-intercycle -cycles 50" ;;
+    tracesim) echo "-cycles 50 -o $tmp/names.vcd" ;;
+    matesearch) echo "-export $tmp/names.v" ;;
+    esac
+}
+for bin in campaign campaignd prune tracesim matesearch netlistlint; do
+    # shellcheck disable=SC2046
+    expect_usage "$tmp/$bin" $(quick_args "$bin") -cpu bogus
+done
+for bin in campaign campaignd prune tracesim; do
+    # shellcheck disable=SC2046
+    expect_usage "$tmp/$bin" $(quick_args "$bin") -prog bogus
+done
+
+echo "== prune and tracesim with valid names"
+"$tmp/prune" -cpu avr -prog fib -intercycle -cycles 500 > "$tmp/prune.out"
+grep -q '^provably benign:' "$tmp/prune.out" || {
+    echo "FAIL: prune -intercycle printed no result" >&2
+    cat "$tmp/prune.out" >&2
+    exit 1
+}
+"$tmp/tracesim" -cpu msp430 -prog conv -cycles 500 -o "$tmp/trace.vcd" > /dev/null
+[ -s "$tmp/trace.vcd" ] || {
+    echo "FAIL: tracesim wrote no VCD" >&2
+    exit 1
+}
 
 echo "== examples/hafi-campaign"
 # The example's own checks gate: it exits non-zero on a validation

@@ -53,7 +53,7 @@ func TestDifferentialWideDeltaMatrix(t *testing.T) {
 	}
 	var cores []*coreCase
 	for _, c := range []*experiments.CPUCase{experiments.PrepareAVR(), experiments.PrepareMSP430()} {
-		golden, err := hafi.RecordGolden(c.NewRun(c.FibProg), 1<<20)
+		golden, err := hafi.RecordGolden(c.Fib.NewRun(), 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestDifferentialWideDeltaMatrix(t *testing.T) {
 			set: core.Search(c.NL, c.FaultAll, core.DefaultSearchParams()).Set}
 		for _, n := range lanes {
 			for w := 0; w < maxWorkers; w++ {
-				r, err := c.NewRunW(c.FibProg, n)
+				r, err := c.Fib.NewRunW(n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +93,7 @@ func TestDifferentialWideDeltaMatrix(t *testing.T) {
 					runJournaled := func(name string, validate bool, exec func(ctl *hafi.Controller, cfg hafi.CampaignConfig) (*hafi.CampaignResult, error)) ([]byte, *journal.Recovered) {
 						t.Helper()
 						path := filepath.Join(dir, name+".journal")
-						ctl := hafi.NewController(c.NewRun(c.FibProg), golden)
+						ctl := hafi.NewController(c.Fib.NewRun(), golden)
 						jw, err := journal.Create(path, ctl.JournalHeader(points))
 						if err != nil {
 							t.Fatal(err)
