@@ -49,7 +49,6 @@ func main() {
 	dir := flag.String("dir", "", "durable coordinator directory (state log + spooled shard journals)")
 	output := flag.String("output", "", "merged campaign journal path (default <dir>/campaign.journal)")
 	strict := flag.Bool("strict", false, "preflight lint: treat warnings as failures")
-	stragglerFrac := flag.Float64("straggler-fraction", 0.35, "flag a worker as a straggler below this fraction of the fleet-median throughput (0 < f < 1)")
 	obsOpts := obs.RegisterFlags(flag.CommandLine)
 	obsOpts.Component = "campaignd"
 	flag.Parse()
@@ -85,9 +84,6 @@ func main() {
 	}
 	if _, _, err := net.SplitHostPort(*addr); err != nil {
 		usage("bad -addr %q: %v", *addr, err)
-	}
-	if *stragglerFrac <= 0 || *stragglerFrac >= 1 {
-		usage("-straggler-fraction %v out of range (want 0 < f < 1)", *stragglerFrac)
 	}
 
 	reg, cleanup, err := obsOpts.Init(os.Stderr)
@@ -147,11 +143,10 @@ func main() {
 			FaultModel: modelSpec.String(),
 			MATESet:    mateSet, DisableEarlyExit: *noEarlyExit,
 		},
-		Obs:               reg,
-		Events:            obsOpts.Events,
-		Trace:             obsOpts.Trace,
-		StragglerFraction: *stragglerFrac,
-		Logf:              func(format string, args ...interface{}) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+		Obs:    reg,
+		Events: obsOpts.Events,
+		Trace:  obsOpts.Trace,
+		Logf:   func(format string, args ...interface{}) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 	})
 	if err != nil {
 		fail(err)

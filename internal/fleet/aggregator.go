@@ -10,8 +10,8 @@ import (
 
 // Anomaly types surfaced in Status.Anomalies and on the event log.
 const (
-	// AnomalyStraggler flags a worker whose throughput has fallen below a
-	// configurable fraction of the fleet median.
+	// AnomalyStraggler flags a worker whose throughput has fallen below
+	// stragglerFraction of the fleet median.
 	AnomalyStraggler = "straggler"
 	// AnomalyLeaseDrift flags a leased shard whose remaining TTL has
 	// drifted below a quarter of the lease TTL — its worker's heartbeats
@@ -44,18 +44,23 @@ type WorkerStatus struct {
 // detectors. It holds no lock of its own: every method runs under the
 // coordinator's mu, which already serialises heartbeats, completions and
 // status snapshots.
+//
+// The fleet counts live in the registry (fleet_injections_total and
+// friends); the struct keeps only what the registry has no type for.
 type aggregator struct {
-	stragglerFraction float64
-	driftFraction     float64
-	activeWindow      time.Duration
+	driftFraction float64
+	activeWindow  time.Duration
 
 	workers   map[string]*workerAgg
-	totals    Telemetry // fleet-lifetime folded deltas
+	batches   int64   // folded sweeps of devices with a known width
+	laneSum   float64 // Σ over those sweeps of busy lanes / device lanes
 	outcomes  map[string]int64
 	anomalies map[string]*Anomaly
 
-	events *obs.EventLog
-	met    *aggMetrics
+	events                                     *obs.EventLog
+	reg                                        *obs.Registry
+	injections, pruned, converged, cyclesSaved *obs.Counter // fleet_*_total
+	anomaliesActive                            *obs.Gauge   // fleet_anomalies
 }
 
 // workerAgg is one worker's folding state.
@@ -73,27 +78,33 @@ type workerAgg struct {
 // the rate settle within ~4 heartbeats yet ride out single slow batches.
 const ewmaAlpha = 0.4
 
+// stragglerFraction flags a worker as a straggler when its throughput
+// falls below this fraction of the active-fleet median.
+const stragglerFraction = 0.35
+
+// newAggregator folds into opts.Obs, which NewCoordinator guarantees.
 func newAggregator(opts Options) *aggregator {
-	frac := opts.StragglerFraction
-	if frac <= 0 || frac >= 1 {
-		frac = 0.35
-	}
+	reg := opts.Obs
 	return &aggregator{
-		stragglerFraction: frac,
-		driftFraction:     0.25,
-		activeWindow:      3 * opts.Heartbeat,
-		workers:           map[string]*workerAgg{},
-		outcomes:          map[string]int64{},
-		anomalies:         map[string]*Anomaly{},
-		events:            opts.Events,
-		met:               newAggMetrics(opts.Obs),
+		driftFraction:   0.25,
+		activeWindow:    3 * opts.Heartbeat,
+		workers:         map[string]*workerAgg{},
+		outcomes:        map[string]int64{},
+		anomalies:       map[string]*Anomaly{},
+		events:          opts.Events,
+		reg:             reg,
+		injections:      reg.Counter("fleet_injections_total"),
+		pruned:          reg.Counter("fleet_pruned_total"),
+		converged:       reg.Counter("fleet_converged_total"),
+		cyclesSaved:     reg.Counter("fleet_cycles_saved_total"),
+		anomaliesActive: reg.Gauge("fleet_anomalies"),
 	}
 }
 
 // fold absorbs one heartbeat's telemetry snapshot: the delta against the
-// worker's previous snapshot is added to the fleet totals (and mirrored
-// to labeled registry counters), and the worker's EWMA throughput is
-// advanced from the points-done delta over the inter-heartbeat interval.
+// worker's previous snapshot is added to the fleet counters, and the
+// worker's EWMA throughput is advanced from the points-done delta over
+// the inter-heartbeat interval.
 func (a *aggregator) fold(worker string, shard int, tel *Telemetry, now time.Time) {
 	if tel == nil {
 		tel = &Telemetry{}
@@ -105,17 +116,20 @@ func (a *aggregator) fold(worker string, shard int, tel *Telemetry, now time.Tim
 	}
 	if wa.sampled {
 		d := tel.sub(&wa.last)
-		a.totals.Done += d.Done
-		a.totals.Injections += d.Injections
-		a.totals.Pruned += d.Pruned
-		a.totals.Converged += d.Converged
-		a.totals.CyclesSaved += d.CyclesSaved
-		a.totals.Batches += d.Batches
-		a.totals.LaneSum += d.LaneSum
+		a.injections.Add(d.Injections)
+		a.pruned.Add(d.Pruned)
+		a.converged.Add(d.Converged)
+		a.cyclesSaved.Add(d.CyclesSaved)
+		a.reg.Counter("fleet_worker_points_total", "worker", worker).Add(d.Done)
+		// Each worker's sweeps are normalised by its own device width, so
+		// workers run at different -lanes fold into one fraction.
+		if tel.Lanes > 0 {
+			a.batches += d.Batches
+			a.laneSum += d.LaneSum / float64(tel.Lanes)
+		}
 		for k, v := range d.Outcomes {
 			a.outcomes[k] += v
 		}
-		a.met.fold(worker, d)
 		if dt := now.Sub(wa.lastSeen).Seconds(); dt > 0 {
 			inst := float64(d.Done) / dt
 			if wa.haveRate {
@@ -180,14 +194,14 @@ func (a *aggregator) detect(now time.Time, shards []*shardSlot, ttl time.Duratio
 			median = (rates[len(rates)/2-1] + rates[len(rates)/2]) / 2
 		}
 		if median > 0 {
-			threshold := a.stragglerFraction * median
+			threshold := stragglerFraction * median
 			for name, wa := range a.workers {
 				key := AnomalyStraggler + "/" + name
 				isActive := wa.haveRate && now.Sub(wa.lastSeen) <= a.activeWindow
 				if isActive && wa.rate < threshold {
 					a.raise(key, AnomalyStraggler, name, now,
 						"throughput %.1f points/s below %.0f%% of fleet median %.1f",
-						wa.rate, a.stragglerFraction*100, median)
+						wa.rate, stragglerFraction*100, median)
 				} else {
 					a.clear(key, now)
 				}
@@ -221,7 +235,8 @@ func (a *aggregator) raise(key, typ, subject string, now time.Time, format strin
 	}
 	an := &Anomaly{Type: typ, Subject: subject, Msg: fmt.Sprintf(format, args...), SinceMS: now.UnixMilli()}
 	a.anomalies[key] = an
-	a.met.anomalyRaised(typ, len(a.anomalies))
+	a.reg.Counter("fleet_anomalies_total", "type", typ).Inc()
+	a.anomaliesActive.Set(int64(len(a.anomalies)))
 	a.events.Event(obs.LevelWarn, "anomaly."+typ, an.Msg, "subject", subject)
 }
 
@@ -231,7 +246,7 @@ func (a *aggregator) clear(key string, now time.Time) {
 		return
 	}
 	delete(a.anomalies, key)
-	a.met.anomalyCleared(len(a.anomalies))
+	a.anomaliesActive.Set(int64(len(a.anomalies)))
 	a.events.Event(obs.LevelInfo, "anomaly.clear", fmt.Sprintf("%s on %s recovered", an.Type, an.Subject),
 		"type", an.Type, "subject", an.Subject,
 		"after", (time.Duration(now.UnixMilli()-an.SinceMS) * time.Millisecond).String())
@@ -276,76 +291,11 @@ func (a *aggregator) workerStatuses() []WorkerStatus {
 	return out
 }
 
-// laneOccupancy is the fleet-mean fraction of the 64 batch lanes kept
-// busy, from the folded lane-occupancy histogram sums.
+// laneOccupancy is the fleet-mean fraction of a device's lanes kept
+// busy per sweep, in [0, 1].
 func (a *aggregator) laneOccupancy() float64 {
-	if a.totals.Batches == 0 {
+	if a.batches == 0 {
 		return 0
 	}
-	return a.totals.LaneSum / (64 * float64(a.totals.Batches))
-}
-
-// aggMetrics mirrors folded telemetry into the obs registry (nil-safe).
-type aggMetrics struct {
-	reg                *obs.Registry
-	injections         *obs.Counter // fleet_injections_total
-	pruned             *obs.Counter // fleet_pruned_total
-	converged          *obs.Counter // fleet_converged_total
-	cyclesSaved        *obs.Counter // fleet_cycles_saved_total
-	anomaliesRaised    *obs.Counter // fleet_anomalies_total{type}
-	anomaliesActive    *obs.Gauge   // fleet_anomalies
-	workerDone         map[string]*obs.Counter
-	anomalyTypeCounter map[string]*obs.Counter
-}
-
-func newAggMetrics(reg *obs.Registry) *aggMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &aggMetrics{
-		reg:                reg,
-		injections:         reg.Counter("fleet_injections_total"),
-		pruned:             reg.Counter("fleet_pruned_total"),
-		converged:          reg.Counter("fleet_converged_total"),
-		cyclesSaved:        reg.Counter("fleet_cycles_saved_total"),
-		anomaliesActive:    reg.Gauge("fleet_anomalies"),
-		workerDone:         map[string]*obs.Counter{},
-		anomalyTypeCounter: map[string]*obs.Counter{},
-	}
-}
-
-func (m *aggMetrics) fold(worker string, d Telemetry) {
-	if m == nil {
-		return
-	}
-	m.injections.Add(d.Injections)
-	m.pruned.Add(d.Pruned)
-	m.converged.Add(d.Converged)
-	m.cyclesSaved.Add(d.CyclesSaved)
-	c, ok := m.workerDone[worker]
-	if !ok {
-		c = m.reg.Counter("fleet_worker_points_total", "worker", worker)
-		m.workerDone[worker] = c
-	}
-	c.Add(d.Done)
-}
-
-func (m *aggMetrics) anomalyRaised(typ string, active int) {
-	if m == nil {
-		return
-	}
-	c, ok := m.anomalyTypeCounter[typ]
-	if !ok {
-		c = m.reg.Counter("fleet_anomalies_total", "type", typ)
-		m.anomalyTypeCounter[typ] = c
-	}
-	c.Inc()
-	m.anomaliesActive.Set(int64(active))
-}
-
-func (m *aggMetrics) anomalyCleared(active int) {
-	if m == nil {
-		return
-	}
-	m.anomaliesActive.Set(int64(active))
+	return a.laneSum / float64(a.batches)
 }

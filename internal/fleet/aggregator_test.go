@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -308,5 +309,135 @@ func TestAggregatorConcurrentHeartbeats(t *testing.T) {
 	}
 	if len(st.Workers) != workers {
 		t.Fatalf("worker view has %d rows, want %d", len(st.Workers), workers)
+	}
+}
+
+// TestLaneOccupancyPerDeviceWidth: each worker's sweeps are normalised by
+// its own device width, so 256-lane telemetry reads as a fraction, and a
+// 256-lane and a 64-lane worker fold into one fleet mean in [0, 1].
+func TestLaneOccupancyPerDeviceWidth(t *testing.T) {
+	clock := newFakeClock()
+	c := newTestCoordinator(t, t.TempDir(), clock, testPoints(100, 5), 2)
+	gWide := mustLease(t, c, "wide")
+	gNarrow := mustLease(t, c, "narrow")
+	beat := func(worker string, g LeaseGrant, batches, busy, lanes int64) {
+		t.Helper()
+		tel := &Telemetry{Batches: batches, LaneSum: float64(batches * busy), Lanes: lanes}
+		if err := c.Heartbeat(worker, g.Shard, g.Fence, tel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first snapshot of each worker is its delta baseline.
+	beat("wide", gWide, 0, 0, 256)
+	beat("narrow", gNarrow, 0, 0, 64)
+
+	// 10 sweeps with 192 of 256 lanes busy: 75 %.
+	beat("wide", gWide, 10, 192, 256)
+	if got := c.Status().Progress.LaneOccupancy; got != 0.75 {
+		t.Fatalf("256-lane occupancy = %v, want 0.75", got)
+	}
+	// 30 sweeps with 16 of 64 lanes busy: 25 %. Fleet mean over all 40
+	// sweeps: (10·0.75 + 30·0.25) / 40.
+	beat("narrow", gNarrow, 30, 16, 64)
+	if got, want := c.Status().Progress.LaneOccupancy, (10*0.75+30*0.25)/40; got != want {
+		t.Fatalf("mixed-width occupancy = %v, want %v", got, want)
+	}
+}
+
+// registryCounters reads the fleet_* lifetime counters out of reg.
+func registryCounters(reg *obs.Registry) Counters {
+	v := func(name string) int64 { return reg.Counter(name).Value() }
+	return Counters{
+		LeasesGranted:      v("fleet_leases_granted_total"),
+		LeaseExpiries:      v("fleet_lease_expiries_total"),
+		LeaseRegrants:      v("fleet_lease_regrants_total"),
+		Heartbeats:         v("fleet_heartbeats_total"),
+		HeartbeatsStale:    v("fleet_heartbeats_stale_total"),
+		Completions:        v("fleet_completions_total"),
+		CompletionsStale:   v("fleet_completions_stale_total"),
+		CompletionsInvalid: v("fleet_completions_invalid_total"),
+		Merges:             v("fleet_merges_total"),
+	}
+}
+
+// TestCountersAreTheRegistry: every lease-protocol event is counted once,
+// in the registry, and Status reads it back — with an operator registry
+// and with the coordinator's private one alike. The drive gives every
+// counter a different value, so a field read from the wrong counter
+// shows.
+func TestCountersAreTheRegistry(t *testing.T) {
+	drive := func(reg *obs.Registry) Counters {
+		clock := newFakeClock()
+		c, err := NewCoordinator(testPoints(70, 5), testGolden, Options{
+			Shards:   7,
+			LeaseTTL: 10 * time.Second, Heartbeat: 2 * time.Second,
+			Dir: t.TempDir(), Now: clock.Now, Obs: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		g1 := mustLease(t, c, "w1") // grant
+		for i := 0; i < 5; i++ {
+			if err := c.Heartbeat("w1", g1.Shard, g1.Fence, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Two expiries, each followed by the expired shard's re-grant.
+		clock.Advance(11 * time.Second)
+		g2 := mustLease(t, c, "w2")
+		clock.Advance(11 * time.Second)
+		g3 := mustLease(t, c, "w3")
+		if g2.Shard != g1.Shard || g3.Shard != g1.Shard {
+			t.Fatalf("expired shard %d not re-granted first (got %d, %d)", g1.Shard, g2.Shard, g3.Shard)
+		}
+		for _, g := range []LeaseGrant{g1, g2, g1, g2} {
+			if err := c.Heartbeat("w", g.Shard, g.Fence, nil); !errors.Is(err, ErrFenced) {
+				t.Fatalf("stale heartbeat: %v, want ErrFenced", err)
+			}
+		}
+		for _, g := range []LeaseGrant{g1, g2, g1} {
+			if err := c.Complete("w", g.Shard, g.Fence, grantJournal(t, g), nil); !errors.Is(err, ErrFenced) {
+				t.Fatalf("stale completion: %v, want ErrFenced", err)
+			}
+		}
+		// Six rejected uploads, each re-opening the shard for a re-grant.
+		g := g3
+		for i := 0; i < 6; i++ {
+			var inv *InvalidJournalError
+			if err := c.Complete("w3", g.Shard, g.Fence, []byte("garbage"), nil); !errors.As(err, &inv) {
+				t.Fatalf("invalid completion: %v, want InvalidJournalError", err)
+			}
+			g = mustLease(t, c, "w3")
+		}
+		if err := c.Complete("w3", g.Shard, g.Fence, grantJournal(t, g), nil); err != nil {
+			t.Fatal(err)
+		}
+		driveToMerge(t, c) // the six other shards: grants, completions, the merge
+
+		st := c.Status()
+		if !st.Merged || st.Shards != 7 {
+			t.Fatalf("status = %+v, want 7 shards merged", st)
+		}
+		if reg != nil {
+			if got := registryCounters(reg); got != st.Counters {
+				t.Fatalf("Status().Counters = %+v, registry = %+v", st.Counters, got)
+			}
+		}
+		return st.Counters
+	}
+
+	want := Counters{
+		LeasesGranted: 15, LeaseExpiries: 2, LeaseRegrants: 8,
+		Heartbeats: 5, HeartbeatsStale: 4,
+		Completions: 7, CompletionsStale: 3, CompletionsInvalid: 6,
+		Merges: 1,
+	}
+	if got := drive(obs.NewRegistry()); got != want {
+		t.Fatalf("counters with an operator registry = %+v, want %+v", got, want)
+	}
+	if got := drive(nil); got != want {
+		t.Fatalf("counters with the private registry = %+v, want %+v", got, want)
 	}
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // Backoff is a jittered exponential retry policy: delay(n) = Base ×
-// Factor^n, capped at Max, then spread uniformly over [d×(1−Jitter),
-// d×(1+Jitter)] so a fleet of workers retrying against a restarting
-// coordinator does not stampede it in lockstep.
+// backoffFactor^n, capped at Max, then spread uniformly over
+// [d×(1−backoffJitter), d×(1+backoffJitter)] so a fleet of workers
+// retrying against a restarting coordinator does not stampede it in
+// lockstep.
 //
 // The zero value is usable and selects the defaults below. Rand and Sleep
 // are injectable for deterministic tests; production code leaves them nil.
@@ -19,11 +20,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps the pre-jitter delay (default 10s).
 	Max time.Duration
-	// Factor is the exponential growth rate (default 2).
-	Factor float64
-	// Jitter spreads each delay uniformly over ±Jitter×delay (default 0.2;
-	// 0 < Jitter <= 1 to stay meaningful, negative disables jitter).
-	Jitter float64
 	// Rand returns a uniform sample in [0, 1); nil uses math/rand.
 	Rand func() float64
 	// Sleep waits for d or until ctx is cancelled, returning ctx.Err() in
@@ -48,24 +44,12 @@ func (b Backoff) max() time.Duration {
 	return b.Max
 }
 
-func (b Backoff) factor() float64 {
-	if b.Factor <= 1 {
-		return 2
-	}
-	return b.Factor
-}
-
-func (b Backoff) jitter() float64 {
-	switch {
-	case b.Jitter < 0:
-		return 0
-	case b.Jitter == 0:
-		return 0.2
-	case b.Jitter > 1:
-		return 1
-	}
-	return b.Jitter
-}
+// backoffFactor is the delay's growth per attempt; backoffJitter spreads
+// each delay uniformly over ±backoffJitter×delay.
+const (
+	backoffFactor = 2
+	backoffJitter = 0.2
+)
 
 // Delay returns the pre-jitter delay of the given 0-based attempt:
 // exponential growth from Base, capped at Max.
@@ -73,7 +57,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	d := float64(b.base())
 	max := float64(b.max())
 	for i := 0; i < attempt; i++ {
-		d *= b.factor()
+		d *= backoffFactor
 		if d >= max {
 			return time.Duration(max)
 		}
@@ -84,19 +68,16 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// JitteredDelay is Delay spread over [d×(1−Jitter), d×(1+Jitter)].
+// JitteredDelay is Delay spread over [d×(1−backoffJitter),
+// d×(1+backoffJitter)].
 func (b Backoff) JitteredDelay(attempt int) time.Duration {
 	d := float64(b.Delay(attempt))
-	j := b.jitter()
-	if j == 0 {
-		return time.Duration(d)
-	}
 	r := rand.Float64
 	if b.Rand != nil {
 		r = b.Rand
 	}
-	lo := d * (1 - j)
-	return time.Duration(lo + r()*(d*(1+j)-lo))
+	lo := d * (1 - backoffJitter)
+	return time.Duration(lo + r()*(d*(1+backoffJitter)-lo))
 }
 
 // Wait sleeps for the given attempt's jittered delay, aborting early (with

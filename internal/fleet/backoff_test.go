@@ -9,7 +9,7 @@ import (
 )
 
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second, Factor: 2}
+	b := Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second}
 	want := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
 		800 * time.Millisecond, 1600 * time.Millisecond, 2 * time.Second,
@@ -38,7 +38,7 @@ func TestBackoffJitterBounded(t *testing.T) {
 		{0.5, 1 * time.Second},
 		{0.999999, time.Duration(0.8*float64(time.Second) + 0.999999*0.4*float64(time.Second))},
 	} {
-		b := Backoff{Base: base, Jitter: 0.2, Rand: func() float64 { return tc.rand }}
+		b := Backoff{Base: base, Rand: func() float64 { return tc.rand }}
 		got := b.JitteredDelay(0)
 		if d := got - tc.want; d < -time.Microsecond || d > time.Microsecond {
 			t.Errorf("JitteredDelay(rand=%v) = %v, want %v", tc.rand, got, tc.want)
@@ -48,11 +48,6 @@ func TestBackoffJitterBounded(t *testing.T) {
 			t.Errorf("JitteredDelay(rand=%v) = %v outside [%v, %v]", tc.rand, got, lo, hi)
 		}
 	}
-	// Jitter < 0 disables: exact delay.
-	b := Backoff{Base: base, Jitter: -1, Rand: func() float64 { t.Fatal("rand consulted with jitter disabled"); return 0 }}
-	if got := b.JitteredDelay(0); got != base {
-		t.Errorf("jitter-disabled delay = %v, want %v", got, base)
-	}
 }
 
 func TestBackoffRetryDeterministic(t *testing.T) {
@@ -60,7 +55,7 @@ func TestBackoffRetryDeterministic(t *testing.T) {
 	// without a single real timer.
 	var slept []time.Duration
 	b := Backoff{
-		Base: 10 * time.Millisecond, Factor: 2, Jitter: 0.5,
+		Base: 10 * time.Millisecond,
 		Rand:  func() float64 { return 0.5 }, // midpoint: jitter is identity
 		Sleep: func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	}
@@ -127,7 +122,7 @@ func TestBackoffCancellationAbortsMidSleep(t *testing.T) {
 	// that was being retried.
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
-	b := Backoff{Base: time.Hour, Jitter: -1}
+	b := Backoff{Base: time.Hour}
 	start := time.Now()
 	failure := errors.New("still down")
 	err := b.Retry(ctx, 0, func() error { return failure })

@@ -78,7 +78,8 @@ type Options struct {
 	// Spec describes the campaign to workers; NewCoordinator fills in the
 	// fingerprint and lease fields.
 	Spec Spec
-	// Obs receives fleet metrics (nil disables instrumentation).
+	// Obs is the registry the coordinator counts into (nil = a private
+	// one, so Status works without observability flags).
 	Obs *obs.Registry
 	// Now is the clock (nil = time.Now; injectable for expiry tests).
 	Now func() time.Time
@@ -91,14 +92,10 @@ type Options struct {
 	// time: the campaign root span, one process group per shard, and every
 	// worker-uploaded trace segment nested inside its shard span.
 	Trace *tracefile.Writer
-	// StragglerFraction flags a worker as a straggler when its throughput
-	// falls below this fraction of the active-fleet median (default 0.35;
-	// must be in (0,1)).
-	StragglerFraction float64
 }
 
 // Counters are the coordinator's lifetime event counts, exposed in
-// /v1/status (and mirrored to the obs registry as fleet_* counters).
+// /v1/status: a read-back of the registry's fleet_* counters.
 type Counters struct {
 	LeasesGranted      int64 `json:"leases_granted"`
 	LeaseExpiries      int64 `json:"lease_expiries"`
@@ -189,8 +186,7 @@ type Coordinator struct {
 	merged   bool
 	mergedCh chan struct{}
 	log      *stateLog
-	counters Counters
-	met      *fleetMetrics
+	met      fleetMetrics
 	agg      *aggregator
 	traceID  string
 	started  time.Time
@@ -224,6 +220,9 @@ func NewCoordinator(points []hafi.FaultPoint, goldenSignature uint64, opts Optio
 	if opts.Output == "" {
 		opts.Output = filepath.Join(opts.Dir, "campaign.journal")
 	}
+	if opts.Obs == nil {
+		opts.Obs = obs.NewRegistry()
+	}
 
 	c := &Coordinator{
 		opts:     opts,
@@ -248,8 +247,8 @@ func NewCoordinator(points []hafi.FaultPoint, goldenSignature uint64, opts Optio
 		c.shards = append(c.shards, &shardSlot{Shard: sh})
 	}
 	c.started = c.now()
-	c.met.setShards(len(c.shards))
-	c.met.setPointsTotal(int64(c.header.NumPoints))
+	c.met.shards.Set(int64(len(c.shards)))
+	c.met.pointsTotal.Set(int64(c.header.NumPoints))
 
 	if err := c.restore(); err != nil {
 		return nil, err
@@ -349,8 +348,8 @@ func (c *Coordinator) restore() error {
 			sh.deadline = now.Add(c.opts.LeaseTTL)
 		}
 	}
-	c.met.setDone(c.done)
-	c.met.setPointsDone(c.pointsDoneLocked())
+	c.met.shardsDone.Set(int64(c.done))
+	c.met.pointsDone.Set(c.pointsDoneLocked())
 
 	c.log, err = openStateLog(c.statePath())
 	if err != nil {
@@ -411,8 +410,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		if sh.state == ShardLeased && now.After(sh.deadline) {
 			sh.state = ShardPending
 			sh.leaseDone = 0
-			c.counters.LeaseExpiries++
-			c.met.leaseExpired()
+			c.met.expired.Inc()
 			c.agg.workerDone(sh.worker)
 			c.logf("fleet: lease of shard %d expired (worker %s, fence %d): re-leasing", sh.ID, sh.worker, sh.fence)
 			c.opts.Events.Event(obs.LevelWarn, "lease.expire",
@@ -464,11 +462,9 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, string, error) {
 			sh.state = ShardPending // the fence stays burned; harmless
 			return LeaseGrant{}, "", err
 		}
-		c.counters.LeasesGranted++
-		c.met.leaseGranted()
+		c.met.granted.Inc()
 		if sh.grants > 1 {
-			c.counters.LeaseRegrants++
-			c.met.leaseRegranted()
+			c.met.regranted.Inc()
 		}
 		c.logf("fleet: shard %d [%d,%d) leased to %s (fence %d, grant #%d)", sh.ID, sh.Lo, sh.Hi, worker, sh.fence, sh.grants)
 		c.opts.Events.Event(obs.LevelInfo, "lease.grant",
@@ -493,20 +489,18 @@ func (c *Coordinator) Heartbeat(worker string, shard int, fence uint64, tel *Tel
 	}
 	sh := c.shards[shard]
 	if sh.state != ShardLeased || sh.fence != fence {
-		c.counters.HeartbeatsStale++
-		c.met.heartbeatStale()
+		c.met.heartbeatsStale.Inc()
 		return ErrFenced
 	}
 	sh.deadline = now.Add(c.opts.LeaseTTL)
 	sh.worker = worker
-	c.counters.Heartbeats++
-	c.met.heartbeat()
+	c.met.heartbeats.Inc()
 	c.agg.fold(worker, shard, tel, now)
 	if tel != nil {
 		sh.leaseDone = tel.ShardDone
 	}
 	c.agg.detect(now, c.shards, c.opts.LeaseTTL)
-	c.met.setPointsDone(c.pointsDoneLocked())
+	c.met.pointsDone.Set(c.pointsDoneLocked())
 	return nil
 }
 
@@ -536,13 +530,11 @@ func (c *Coordinator) Complete(worker string, shard int, fence uint64, data, tra
 		if sh.fence == fence {
 			return nil // idempotent retry of the accepted upload
 		}
-		c.counters.CompletionsStale++
-		c.met.completionStale()
+		c.met.completionsStale.Inc()
 		return ErrFenced
 	}
 	if sh.fence != fence {
-		c.counters.CompletionsStale++
-		c.met.completionStale()
+		c.met.completionsStale.Inc()
 		return ErrFenced
 	}
 	// The fence is current: accept even if the lease just expired but the
@@ -551,8 +543,7 @@ func (c *Coordinator) Complete(worker string, shard int, fence uint64, data, tra
 	name := fmt.Sprintf("shard-%04d.journal", sh.ID)
 	if err := c.spoolShard(sh, name, data); err != nil {
 		sh.state = ShardPending // let someone else (or a fixed worker) retry
-		c.counters.CompletionsInvalid++
-		c.met.completionInvalid()
+		c.met.completionsInvalid.Inc()
 		c.logf("fleet: shard %d upload from %s rejected: %v", sh.ID, worker, err)
 		c.opts.Events.Event(obs.LevelWarn, "shard.reject",
 			fmt.Sprintf("shard %d upload from %s rejected: %v", sh.ID, worker, err),
@@ -569,10 +560,9 @@ func (c *Coordinator) Complete(worker string, shard int, fence uint64, data, tra
 	c.spoolTrace(sh, trace)
 	c.agg.workerDone(worker)
 	c.done++
-	c.counters.Completions++
-	c.met.completion()
-	c.met.setDone(c.done)
-	c.met.setPointsDone(c.pointsDoneLocked())
+	c.met.completions.Inc()
+	c.met.shardsDone.Set(int64(c.done))
+	c.met.pointsDone.Set(c.pointsDoneLocked())
 	c.logf("fleet: shard %d completed by %s (%d/%d shards done)", sh.ID, worker, c.done, len(c.shards))
 	c.opts.Events.Event(obs.LevelInfo, "shard.complete",
 		fmt.Sprintf("shard %d completed by %s", sh.ID, worker),
@@ -723,8 +713,7 @@ func (c *Coordinator) mergeLocked() error {
 	if err := c.log.append(stateEvent{Ev: evMerged, File: filepath.Base(c.opts.Output)}); err != nil {
 		return err
 	}
-	c.counters.Merges++
-	c.met.merge()
+	c.met.merges.Inc()
 	c.logf("fleet: merged %d shards (%d records, %d attribution hits) into %s", stats.Shards, stats.Records, stats.MATEHits, c.opts.Output)
 	c.opts.Events.Event(obs.LevelInfo, "merge.done",
 		fmt.Sprintf("merged %d shards (%d records) into %s", stats.Shards, stats.Records, c.opts.Output),
@@ -835,11 +824,21 @@ func (c *Coordinator) Status() Status {
 	c.tryMergeLocked()
 	c.agg.detect(now, c.shards, c.opts.LeaseTTL)
 	st := Status{
-		Shards:   len(c.shards),
-		Merged:   c.merged,
-		Output:   c.opts.Output,
-		TraceID:  c.traceID,
-		Counters: c.counters,
+		Shards:  len(c.shards),
+		Merged:  c.merged,
+		Output:  c.opts.Output,
+		TraceID: c.traceID,
+		Counters: Counters{
+			LeasesGranted:      c.met.granted.Value(),
+			LeaseExpiries:      c.met.expired.Value(),
+			LeaseRegrants:      c.met.regranted.Value(),
+			Heartbeats:         c.met.heartbeats.Value(),
+			HeartbeatsStale:    c.met.heartbeatsStale.Value(),
+			Completions:        c.met.completions.Value(),
+			CompletionsStale:   c.met.completionsStale.Value(),
+			CompletionsInvalid: c.met.completionsInvalid.Value(),
+			Merges:             c.met.merges.Value(),
+		},
 		Progress: c.progressLocked(now),
 		Workers:  c.agg.workerStatuses(),
 	}
@@ -879,10 +878,10 @@ func (c *Coordinator) progressLocked(now time.Time) Progress {
 		PointsDone:    c.pointsDoneLocked(),
 		Rate:          c.agg.fleetRate(now),
 		ETASeconds:    -1,
-		Injections:    c.agg.totals.Injections,
-		Pruned:        c.agg.totals.Pruned,
-		Converged:     c.agg.totals.Converged,
-		CyclesSaved:   c.agg.totals.CyclesSaved,
+		Injections:    c.agg.injections.Value(),
+		Pruned:        c.agg.pruned.Value(),
+		Converged:     c.agg.converged.Value(),
+		CyclesSaved:   c.agg.cyclesSaved.Value(),
 		LaneOccupancy: c.agg.laneOccupancy(),
 	}
 	if len(c.agg.outcomes) > 0 {
@@ -896,12 +895,12 @@ func (c *Coordinator) progressLocked(now time.Time) Progress {
 	} else if p.Rate > 0 {
 		p.ETASeconds = float64(remaining) / p.Rate
 	}
-	c.met.setPointsDone(p.PointsDone)
+	c.met.pointsDone.Set(p.PointsDone)
 	return p
 }
 
-// fleetMetrics mirrors the coordinator counters into an obs registry
-// (nil-safe throughout, like every obs integration in this codebase).
+// fleetMetrics holds the coordinator's fleet_* registry handles. The
+// registry is the only tally of these facts; Status reads them back.
 type fleetMetrics struct {
 	granted, expired, regranted   *obs.Counter
 	heartbeats, heartbeatsStale   *obs.Counter
@@ -911,11 +910,8 @@ type fleetMetrics struct {
 	pointsTotal, pointsDone       *obs.Gauge
 }
 
-func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &fleetMetrics{
+func newFleetMetrics(reg *obs.Registry) fleetMetrics {
+	return fleetMetrics{
 		granted:            reg.Counter("fleet_leases_granted_total"),
 		expired:            reg.Counter("fleet_lease_expiries_total"),
 		regranted:          reg.Counter("fleet_lease_regrants_total"),
@@ -929,72 +925,5 @@ func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 		shardsDone:         reg.Gauge("fleet_shards_done"),
 		pointsTotal:        reg.Gauge("fleet_points_total"),
 		pointsDone:         reg.Gauge("fleet_points_done"),
-	}
-}
-
-func (m *fleetMetrics) setPointsTotal(n int64) {
-	if m != nil {
-		m.pointsTotal.Set(n)
-	}
-}
-func (m *fleetMetrics) setPointsDone(n int64) {
-	if m != nil {
-		m.pointsDone.Set(n)
-	}
-}
-
-func (m *fleetMetrics) setShards(n int) {
-	if m != nil {
-		m.shards.Set(int64(n))
-	}
-}
-func (m *fleetMetrics) setDone(n int) {
-	if m != nil {
-		m.shardsDone.Set(int64(n))
-	}
-}
-func (m *fleetMetrics) leaseGranted() {
-	if m != nil {
-		m.granted.Inc()
-	}
-}
-func (m *fleetMetrics) leaseExpired() {
-	if m != nil {
-		m.expired.Inc()
-	}
-}
-func (m *fleetMetrics) leaseRegranted() {
-	if m != nil {
-		m.regranted.Inc()
-	}
-}
-func (m *fleetMetrics) heartbeat() {
-	if m != nil {
-		m.heartbeats.Inc()
-	}
-}
-func (m *fleetMetrics) heartbeatStale() {
-	if m != nil {
-		m.heartbeatsStale.Inc()
-	}
-}
-func (m *fleetMetrics) completion() {
-	if m != nil {
-		m.completions.Inc()
-	}
-}
-func (m *fleetMetrics) completionStale() {
-	if m != nil {
-		m.completionsStale.Inc()
-	}
-}
-func (m *fleetMetrics) completionInvalid() {
-	if m != nil {
-		m.completionsInvalid.Inc()
-	}
-}
-func (m *fleetMetrics) merge() {
-	if m != nil {
-		m.merges.Inc()
 	}
 }

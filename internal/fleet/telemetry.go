@@ -25,9 +25,11 @@ type Telemetry struct {
 	Batches     int64 `json:"batches"`
 	// Batches counts finished device sweeps. LaneSum is the cumulative sum
 	// of their mean busy-lane counts (the campaign_batch_lanes histogram
-	// sum); LaneSum/(64·Batches) is the worker's mean lane occupancy in
-	// units of one 64-lane group.
+	// sum) and Lanes the worker's device width (the campaign_lanes gauge,
+	// 0 before its first campaign), so LaneSum/(Lanes·Batches) is the
+	// worker's mean lane occupancy in [0, 1].
 	LaneSum float64 `json:"lane_sum"`
+	Lanes   int64   `json:"lanes,omitempty"`
 	// Outcomes is the cumulative executed-outcome histogram, keyed by
 	// outcome name (benign, sdc, hang, harness-error).
 	Outcomes map[string]int64 `json:"outcomes,omitempty"`
@@ -74,6 +76,7 @@ type telemetrySampler struct {
 	done, executed, pruned     *obs.Counter
 	converged, cycles, batches *obs.Counter
 	lanes                      *obs.Histogram
+	width                      *obs.Gauge
 	outcomes                   map[string]*obs.Counter
 }
 
@@ -89,6 +92,7 @@ func newTelemetrySampler(reg *obs.Registry) *telemetrySampler {
 		cycles:    reg.Counter("campaign_cycles_saved_total"),
 		batches:   reg.Counter("campaign_batches_total"),
 		lanes:     reg.Histogram("campaign_batch_lanes", nil),
+		width:     reg.Gauge("campaign_lanes"),
 		outcomes:  map[string]*obs.Counter{},
 	}
 	for o := hafi.OutcomeBenign; o <= hafi.OutcomeHarnessError; o++ {
@@ -111,6 +115,7 @@ func (s *telemetrySampler) sample(shardDone int64) *Telemetry {
 	t.CyclesSaved = s.cycles.Value()
 	t.Batches = s.batches.Value()
 	t.LaneSum = s.lanes.Sum()
+	t.Lanes = s.width.Value()
 	t.Outcomes = make(map[string]int64, len(s.outcomes))
 	for name, c := range s.outcomes {
 		t.Outcomes[name] = c.Value()

@@ -52,9 +52,8 @@ type SegmentRecorder struct {
 
 	// Own lane allocator for when the recorder is the only tracer (no
 	// operator -trace file); when teed, the primary's lanes arrive via
-	// Complete and these are unused.
-	lanes    []bool
-	freeHint int32
+	// Complete and this one is unused.
+	lanes tracefile.Lanes
 }
 
 // NewSegmentRecorder returns a recorder bounded at max events (<=0 uses
@@ -71,34 +70,14 @@ func (r *SegmentRecorder) BeginLane() int32 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := int(r.freeHint); i < len(r.lanes); i++ {
-		if !r.lanes[i] {
-			r.lanes[i] = true
-			r.freeHint = int32(i) + 1
-			return int32(i)
-		}
-	}
-	r.lanes = append(r.lanes, true)
-	lane := int32(len(r.lanes) - 1)
-	r.freeHint = lane + 1
-	return lane
+	return r.lanes.Begin()
 }
 
 // EndLane implements obs.Tracer.
 func (r *SegmentRecorder) EndLane(lane int32) {
-	if r == nil {
-		return
+	if r != nil {
+		r.lanes.End(lane)
 	}
-	r.mu.Lock()
-	if int(lane) < len(r.lanes) {
-		r.lanes[lane] = false
-		if lane < r.freeHint {
-			r.freeHint = lane
-		}
-	}
-	r.mu.Unlock()
 }
 
 // Complete implements obs.Tracer.

@@ -79,46 +79,19 @@ func (w *Worker) logf(format string, args ...interface{}) {
 	}
 }
 
-// workerMetrics is the worker-side obs mirror (nil-safe like the rest).
+// workerMetrics holds the worker's fleet_worker_* handles. Without a
+// registry they are nil, and nil obs handles are no-ops.
 type workerMetrics struct {
 	shards, retries, lost *obs.Counter
 	busy                  *obs.Gauge
 }
 
-func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &workerMetrics{
+func newWorkerMetrics(reg *obs.Registry) workerMetrics {
+	return workerMetrics{
 		shards:  reg.Counter("fleet_worker_shards_total"),
 		retries: reg.Counter("fleet_worker_upload_retries_total"),
 		lost:    reg.Counter("fleet_worker_leases_lost_total"),
 		busy:    reg.Gauge("fleet_worker_busy"),
-	}
-}
-
-func (m *workerMetrics) shardDone() {
-	if m != nil {
-		m.shards.Inc()
-	}
-}
-func (m *workerMetrics) retry() {
-	if m != nil {
-		m.retries.Inc()
-	}
-}
-func (m *workerMetrics) leaseLost() {
-	if m != nil {
-		m.lost.Inc()
-	}
-}
-func (m *workerMetrics) setBusy(b bool) {
-	if m != nil {
-		v := int64(0)
-		if b {
-			v = 1
-		}
-		m.busy.Set(v)
 	}
 }
 
@@ -135,7 +108,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	bo := w.Backoff
 	userHook := bo.OnRetry
 	bo.OnRetry = func(attempt int, err error) {
-		met.retry()
+		met.retries.Inc()
 		w.logf("fleet: rpc failed (attempt %d, retrying): %v", attempt+1, err)
 		if userHook != nil {
 			userHook(attempt, err)
@@ -210,9 +183,9 @@ func (w *Worker) Run(ctx context.Context) error {
 // runShard executes one granted shard under a heartbeat and uploads the
 // result. A lost lease (fenced heartbeat or completion) abandons the shard
 // and returns nil — the lease loop moves on.
-func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.Duration, bo Backoff, met *workerMetrics, sampler *telemetrySampler) error {
-	met.setBusy(true)
-	defer met.setBusy(false)
+func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.Duration, bo Backoff, met workerMetrics, sampler *telemetrySampler) error {
+	met.busy.Set(1)
+	defer met.busy.Set(0)
 	w.logf("fleet: running shard %d [%d,%d) under fence %d", grant.Shard, grant.Lo, grant.Hi, grant.Fence)
 	w.Events.Event(obs.LevelInfo, "shard.start",
 		fmt.Sprintf("running shard %d [%d,%d)", grant.Shard, grant.Lo, grant.Hi),
@@ -257,7 +230,7 @@ func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.
 	<-hbDone
 
 	if fenced.Load() {
-		met.leaseLost()
+		met.lost.Inc()
 		w.logf("fleet: lost lease on shard %d (fence %d superseded): abandoning", grant.Shard, grant.Fence)
 		w.Events.Event(obs.LevelWarn, "lease.lost",
 			fmt.Sprintf("lost lease on shard %d", grant.Shard),
@@ -300,7 +273,7 @@ func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.
 	})
 	switch {
 	case uploadErr == nil:
-		met.shardDone()
+		met.shards.Inc()
 		w.logf("fleet: shard %d uploaded (%d bytes)", grant.Shard, len(data))
 		w.Events.Event(obs.LevelInfo, "shard.upload",
 			fmt.Sprintf("shard %d uploaded", grant.Shard),
@@ -308,7 +281,7 @@ func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.
 		os.Remove(path)
 		return nil
 	case errors.Is(uploadErr, ErrFenced):
-		met.leaseLost()
+		met.lost.Inc()
 		w.logf("fleet: shard %d upload fenced off (another worker owns it): abandoning", grant.Shard)
 		os.Remove(path)
 		return nil

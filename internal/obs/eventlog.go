@@ -80,21 +80,12 @@ func NewEventLog(w io.Writer, component string, min Level) *EventLog {
 	return &EventLog{w: w, min: min, component: component, now: time.Now}
 }
 
-// Eventf appends one event line. event is the stable machine key, dotted
-// by convention ("lease.grant", "anomaly.straggler"); the formatted
-// message is the human half. Entries below the log's minimum level are
-// dropped without formatting. Safe on a nil receiver.
-func (l *EventLog) Eventf(level Level, event, format string, args ...interface{}) {
-	l.emit(level, event, format, args, nil)
-}
-
-// Event appends one event line with structured fields (an even-length
-// key/value list; values are JSON-encoded). Safe on a nil receiver.
+// Event appends one event line. event is the stable machine key, dotted
+// by convention ("lease.grant", "anomaly.straggler"); msg is the human
+// half; fields is an even-length key/value list whose values are
+// JSON-encoded. Entries below the log's minimum level are dropped. Safe
+// on a nil receiver.
 func (l *EventLog) Event(level Level, event, msg string, fields ...interface{}) {
-	l.emit(level, event, "%s", []interface{}{msg}, fields)
-}
-
-func (l *EventLog) emit(level Level, event, format string, args []interface{}, fields []interface{}) {
 	if l == nil || level < l.min {
 		return
 	}
@@ -102,7 +93,7 @@ func (l *EventLog) emit(level Level, event, format string, args []interface{}, f
 		Level:     level.String(),
 		Component: l.component,
 		Event:     event,
-		Msg:       fmt.Sprintf(format, args...),
+		Msg:       msg,
 	}
 	if len(fields) > 1 {
 		m := make(map[string]interface{}, len(fields)/2)
@@ -126,16 +117,4 @@ func (l *EventLog) emit(level Level, event, format string, args []interface{}, f
 	}
 	data = append(data, '\n')
 	_, _ = l.w.Write(data)
-}
-
-// Logf adapts the event log to the fleet's Logf plumbing: the returned
-// function records every formatted line as a debug-level "log" event.
-// Returns nil (the disabled Logf) on a nil receiver.
-func (l *EventLog) Logf(level Level) func(format string, args ...interface{}) {
-	if l == nil {
-		return nil
-	}
-	return func(format string, args ...interface{}) {
-		l.Eventf(level, "log", format, args...)
-	}
 }

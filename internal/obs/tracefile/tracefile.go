@@ -61,11 +61,45 @@ type Writer struct {
 	dropped int64 // events lost to write errors
 	err     error // first write error (sticky)
 	closed  bool
+	lanes   Lanes
+}
 
-	// lane allocator: lanes[i] true = in use. freeHint is the lowest lane
-	// that might be free.
-	lanes    []bool
-	freeHint int32
+// Lanes hands out trace lanes lowest-free first, so concurrent spans
+// occupy distinct rows and a released row is reused before a new one
+// opens. The zero value is ready to use and safe for concurrent use.
+type Lanes struct {
+	mu       sync.Mutex
+	used     []bool // used[i]: lane i is held
+	freeHint int32  // the lowest lane that might be free
+}
+
+// Begin reserves the lowest free lane.
+func (l *Lanes) Begin() int32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := int(l.freeHint); i < len(l.used); i++ {
+		if !l.used[i] {
+			l.used[i] = true
+			l.freeHint = int32(i) + 1
+			return int32(i)
+		}
+	}
+	l.used = append(l.used, true)
+	lane := int32(len(l.used) - 1)
+	l.freeHint = lane + 1
+	return lane
+}
+
+// End returns lane to the free pool.
+func (l *Lanes) End(lane int32) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if int(lane) < len(l.used) {
+		l.used[lane] = false
+		if lane < l.freeHint {
+			l.freeHint = lane
+		}
+	}
 }
 
 // Create opens (or truncates) path and starts a trace document.
@@ -96,34 +130,14 @@ func (w *Writer) BeginLane() int32 {
 	if w == nil {
 		return 0
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := int(w.freeHint); i < len(w.lanes); i++ {
-		if !w.lanes[i] {
-			w.lanes[i] = true
-			w.freeHint = int32(i) + 1
-			return int32(i)
-		}
-	}
-	w.lanes = append(w.lanes, true)
-	lane := int32(len(w.lanes) - 1)
-	w.freeHint = lane + 1
-	return lane
+	return w.lanes.Begin()
 }
 
 // EndLane returns a lane to the free pool. Safe on a nil receiver.
 func (w *Writer) EndLane(lane int32) {
-	if w == nil {
-		return
+	if w != nil {
+		w.lanes.End(lane)
 	}
-	w.mu.Lock()
-	if int(lane) < len(w.lanes) {
-		w.lanes[lane] = false
-		if lane < w.freeHint {
-			w.freeHint = lane
-		}
-	}
-	w.mu.Unlock()
 }
 
 // Complete records one finished span as a complete ("X") event on the given

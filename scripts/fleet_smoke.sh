@@ -14,7 +14,9 @@
 # with -trace and -log-json, one worker is throttled so the coordinator
 # must flag it as a straggler, /status is scraped mid-run (per-worker
 # throughput, ETA, anomaly feed), and the stitched Perfetto trace is
-# validated with campaignreport -check-trace after the merge. The other
+# validated with campaignreport -check-trace after the merge. Fleet lane
+# occupancy is a fraction of each worker's device lanes: once non-zero it
+# must stay at or below 1. The other
 # workers are throttled five times less (1 ms per point): on a fast machine
 # an unthrottled worker finishes the whole list within a heartbeat or two,
 # before it can be killed mid-run or measured next to the straggler.
@@ -95,7 +97,7 @@ for w in w2 w3; do
 done
 
 echo "== scraping /status mid-run"
-saw_rate=0 saw_eta=0 saw_straggler=0
+saw_rate=0 saw_eta=0 saw_straggler=0 saw_occupancy=0
 for _ in $(seq 1 300); do
     kill -0 "$dpid" 2>/dev/null || break
     status=$(curl -fsS "$base/status" 2>/dev/null) || { sleep 0.2; continue; }
@@ -108,16 +110,24 @@ for _ in $(seq 1 300); do
     if printf '%s' "$status" | jq -e 'any(.anomalies[]?; .type == "straggler" and .subject == "slowpoke")' > /dev/null; then
         saw_straggler=1
     fi
-    [ "$saw_rate$saw_eta$saw_straggler" = "111" ] && break
+    occupancy=$(printf '%s' "$status" | jq '.progress.lane_occupancy // 0')
+    if printf '%s' "$status" | jq -e '.progress.lane_occupancy > 0' > /dev/null; then
+        if ! printf '%s' "$status" | jq -e '.progress.lane_occupancy <= 1' > /dev/null; then
+            echo "FAIL: /status lane_occupancy $occupancy is above 1 (it is a fraction of the device lanes)" >&2
+            exit 1
+        fi
+        saw_occupancy=1
+    fi
+    [ "$saw_rate$saw_eta$saw_straggler$saw_occupancy" = "1111" ] && break
     sleep 0.2
 done
-if [ "$saw_rate$saw_eta$saw_straggler" != "111" ]; then
-    echo "FAIL: /status never showed live fleet telemetry (rates=$saw_rate eta=$saw_eta straggler=$saw_straggler)" >&2
+if [ "$saw_rate$saw_eta$saw_straggler$saw_occupancy" != "1111" ]; then
+    echo "FAIL: /status never showed live fleet telemetry (rates=$saw_rate eta=$saw_eta straggler=$saw_straggler occupancy=$saw_occupancy)" >&2
     curl -fsS "$base/status" >&2 || true
     cat "$tmp/campaignd.events" >&2 || true
     exit 1
 fi
-echo "live /status OK: per-worker rates, converging ETA, slowpoke flagged as straggler"
+echo "live /status OK: per-worker rates, converging ETA, slowpoke flagged as straggler, lane occupancy $occupancy"
 
 # The coordinator exits 0 on its own once every shard is merged.
 for _ in $(seq 1 1200); do
