@@ -50,7 +50,7 @@ func main() {
 	noRF := flag.Bool("norf", false, "exclude the register file from the fault list")
 	lanes := flag.Int("lanes", hafi.DefaultCampaignLanes, "lanes per batched device instance (positive multiple of 64, at most 65536)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shard the campaign over this many device instances (>= 1)")
-	noEarlyExit := flag.Bool("no-early-exit", false, "disable the golden-state convergence early-exit (every experiment runs to halt or timeout)")
+	noEarlyExit := flag.Bool("no-early-exit", false, "disable the golden-state convergence early-exit and the held rule (every experiment runs to halt or timeout)")
 	strict := flag.Bool("strict", false, "preflight lint: treat warnings as failures")
 	journalPath := flag.String("journal", "", "durably log every classified point to this file")
 	resume := flag.Bool("resume", false, "resume from the -journal file: replay classified points, run only the rest")
@@ -199,6 +199,9 @@ func main() {
 	if res.Converged > 0 {
 		fmt.Printf("converged:  %d experiments retired early by golden-state convergence (%d cycles saved)\n",
 			res.Converged, res.CyclesSaved)
+	}
+	if res.Held > 0 {
+		fmt.Printf("held:       %d experiments retired at once, golden but for one flip-flop held to the halt\n", res.Held)
 	}
 	fmt.Printf("outcomes:   benign=%d sdc=%d hang=%d\n",
 		res.ByOutcome[hafi.OutcomeBenign], res.ByOutcome[hafi.OutcomeSDC], res.ByOutcome[hafi.OutcomeHang])

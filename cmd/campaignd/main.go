@@ -41,7 +41,7 @@ func main() {
 	faultModel := flag.String("fault-model", "seu", "fault model: seu, mbu[:span], set, intermittent[:period[,window]], stuck0[:window] or stuck1[:window]")
 	noPrune := flag.Bool("noprune", false, "disable online MATE pruning")
 	noRF := flag.Bool("norf", false, "exclude the register file from the fault list")
-	noEarlyExit := flag.Bool("no-early-exit", false, "disable the golden-state convergence early-exit fleet-wide")
+	noEarlyExit := flag.Bool("no-early-exit", false, "disable the golden-state convergence early-exit and the held rule fleet-wide")
 	shards := flag.Int("shards", 8, "split the fault space into this many shards (>= 1)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "lease expiry without a heartbeat (> 0)")
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval advertised to workers (default lease-ttl/4; must be < lease-ttl)")

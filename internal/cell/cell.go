@@ -173,3 +173,61 @@ func init() {
 		return n >= 2
 	})
 }
+
+// EvalWords evaluates a cell of kind k on 64 input vectors at once: bit t
+// of the result is the output for the vector whose pin p is bit t of in[p].
+// It is the library's one table of word formulas; ok is false for a kind
+// outside the library.
+func (k Kind) EvalWords(in *[4]uint64) (out uint64, ok bool) {
+	switch k {
+	case TIE0:
+		return 0, true
+	case TIE1:
+		return ^uint64(0), true
+	case BUF:
+		return in[0], true
+	case INV:
+		return ^in[0], true
+	case AND2:
+		return in[0] & in[1], true
+	case AND3:
+		return in[0] & in[1] & in[2], true
+	case AND4:
+		return in[0] & in[1] & in[2] & in[3], true
+	case NAND2:
+		return ^(in[0] & in[1]), true
+	case NAND3:
+		return ^(in[0] & in[1] & in[2]), true
+	case NAND4:
+		return ^(in[0] & in[1] & in[2] & in[3]), true
+	case OR2:
+		return in[0] | in[1], true
+	case OR3:
+		return in[0] | in[1] | in[2], true
+	case OR4:
+		return in[0] | in[1] | in[2] | in[3], true
+	case NOR2:
+		return ^(in[0] | in[1]), true
+	case NOR3:
+		return ^(in[0] | in[1] | in[2]), true
+	case NOR4:
+		return ^(in[0] | in[1] | in[2] | in[3]), true
+	case XOR2:
+		return in[0] ^ in[1], true
+	case XNOR2:
+		return ^(in[0] ^ in[1]), true
+	case MUX2:
+		return (^in[2] & in[0]) | (in[2] & in[1]), true
+	case AOI21:
+		return ^((in[0] & in[1]) | in[2]), true
+	case AOI22:
+		return ^((in[0] & in[1]) | (in[2] & in[3])), true
+	case OAI21:
+		return ^((in[0] | in[1]) & in[2]), true
+	case OAI22:
+		return ^((in[0] | in[1]) & (in[2] | in[3])), true
+	case MAJ3:
+		return (in[0] & in[1]) | (in[0] & in[2]) | (in[1] & in[2]), true
+	}
+	return 0, false
+}

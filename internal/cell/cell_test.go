@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -282,5 +283,36 @@ func TestGMTermLiteralAccessors(t *testing.T) {
 	}
 	if tm.NumLiterals() != 2 {
 		t.Errorf("NumLiterals = %d", tm.NumLiterals())
+	}
+}
+
+// TestEvalWordsMatchesEval: every library cell's word formula gives, bit for
+// bit, the truth-table output of the vector that bit carries, and a kind
+// outside the library has none.
+func TestEvalWordsMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range All() {
+		for trial := 0; trial < 8; trial++ {
+			var in [4]uint64
+			for p := range in {
+				in[p] = rng.Uint64()
+			}
+			out, ok := c.Kind.EvalWords(&in)
+			if !ok {
+				t.Fatalf("%s: no word formula", c)
+			}
+			for b := 0; b < 64; b++ {
+				var v uint32
+				for p := 0; p < c.NumInputs(); p++ {
+					v |= uint32(in[p]>>uint(b)&1) << uint(p)
+				}
+				if got := out>>uint(b)&1 == 1; got != c.Eval(v) {
+					t.Fatalf("%s: bit %d (inputs %04b) = %v, Eval says %v", c, b, v, got, c.Eval(v))
+				}
+			}
+		}
+	}
+	if _, ok := numKinds.EvalWords(&[4]uint64{}); ok {
+		t.Error("a kind outside the library has a word formula")
 	}
 }

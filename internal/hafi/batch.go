@@ -25,12 +25,12 @@ const DefaultCampaignLanes = 256
 // The engine is the lane scheduler of scheduler.go: a device sweeps the
 // golden timeline, a lane whose experiment retired is handed the next
 // pending point of the cycle the sweep has reached, and lanes retire
-// individually through the convergence early-exit (see Controller.execute).
-// CampaignConfig.DisableEarlyExit restores full runs. The devices share one
-// plan and results are journaled in plan order from a single goroutine, so
-// classification and the journal byte stream are identical at every lane
-// count and pool size, and crash-resume and journal-diff behaviour does not
-// depend on either.
+// individually through the convergence early-exit (see Controller.execute)
+// and the held rule (held.go). CampaignConfig.DisableEarlyExit restores
+// full runs. The devices share one plan and results are journaled in plan
+// order from a single goroutine, so classification and the journal byte
+// stream are identical at every lane count and pool size, and crash-resume
+// and journal-diff behaviour does not depend on either.
 //
 // The caller builds the pool — one device per core it wants to use, and no
 // more than ⌈points/lanes⌉, which is all a campaign can keep busy — and may
@@ -174,13 +174,15 @@ func (c *Controller) runPlan(cfg *CampaignConfig, pl *plan, validate bool, runs 
 }
 
 // laneResult is one finished experiment on its way from a device to the
-// emitter: its plan position, its verdict and, when the convergence
-// early-exit retired it, the cycles that saved (0 otherwise: an exit at
-// the golden halt cycle itself is a halt, not a convergence).
+// emitter: its plan position, its verdict, when the convergence early-exit
+// retired it the cycles that saved (0 otherwise: an exit at the golden
+// halt cycle itself is a halt, not a convergence), and whether the held
+// rule retired it.
 type laneResult struct {
 	pos   int32
 	saved int32
 	out   Outcome
+	held  bool
 }
 
 // resultPool recycles the slices laneResults travel in.
@@ -212,6 +214,7 @@ type readyResult struct {
 	saved int32
 	out   uint8
 	done  bool
+	held  bool
 }
 
 // journalPoint logs one classified point; a non-nil hit (attribution of a
@@ -255,7 +258,7 @@ func (em *emitter) begin(pl *plan, validate bool) {
 // prefix they complete, point by point.
 func (em *emitter) accept(rs []laneResult) error {
 	for _, r := range rs {
-		em.ready[r.pos] = readyResult{saved: r.saved, out: uint8(r.out), done: true}
+		em.ready[r.pos] = readyResult{saved: r.saved, out: uint8(r.out), done: true, held: r.held}
 	}
 	em.held += len(rs)
 	em.res.reorderHighWater = max(em.res.reorderHighWater, em.held)
@@ -277,6 +280,10 @@ func (em *emitter) emitPoint(i int32, r readyResult) error {
 		em.res.Converged++
 		em.res.CyclesSaved += int64(r.saved)
 		em.met.convergedN(1, int64(r.saved))
+	}
+	if r.held {
+		em.res.Held++
+		em.met.heldOne()
 	}
 	rec := pointRecord(idx, p)
 	var hit *journal.MATEHit

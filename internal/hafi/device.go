@@ -15,6 +15,11 @@ import (
 // campaign scheduler hands a lane its next point while its neighbours are
 // mid-experiment. Lane-group methods take g < Lanes()/64 and cover lanes
 // 64g..64g+63.
+//
+// The scheduler's held rule (heldTable) is exact only if every wire the
+// device's memory environment, halt flag and output port read is a primary
+// output of the controller's netlist: the built-in cores mark them all
+// (TestHeldRuleSeesTheEnvironment), a foreign device must too.
 type RunW interface {
 	// Step advances all lanes one clock cycle.
 	Step()

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -221,11 +222,12 @@ type CampaignConfig struct {
 	// verifies it really is benign (used by the test suite; defeats the
 	// purpose of pruning in production).
 	ValidateSkipped bool
-	// DisableEarlyExit turns off the golden-state convergence early-exit:
-	// every experiment runs to halt or timeout even when its state provably
-	// re-converged with the fault-free reference. The classification is
-	// identical either way; this is an escape hatch for differential
-	// testing and debugging.
+	// DisableEarlyExit turns off the golden-state convergence early-exit
+	// and the wide engine's held rule: every experiment runs to halt or
+	// timeout even when its state provably re-converged with the fault-free
+	// reference or provably reaches the halt golden but for one held flip.
+	// The classification is identical either way; this is an escape hatch
+	// for differential testing and debugging.
 	DisableEarlyExit bool
 	// Context, when non-nil, cancels the campaign gracefully: in-flight
 	// experiments (on a batched device: every lane carrying one) finish and
@@ -288,6 +290,13 @@ type CampaignResult struct {
 	// CyclesSaved sums the simulation cycles skipped by those early exits
 	// (golden halt cycle minus convergence cycle, per converged experiment).
 	CyclesSaved int64
+	// Held counts executed experiments the wide engine retired by its held
+	// rule (scheduler.go, held.go): past the upset's window, golden but for
+	// one flip-flop whose flip is provably held to the golden halt, so the
+	// verdict is that flip's at the halt and no cycles are credited. Like
+	// Converged it describes how the run executed; the sequential oracle
+	// runs such experiments out and reports 0.
+	Held int
 
 	// reorderHighWater is the most results the batched engine's emitter ever
 	// held back waiting for an earlier plan position (tests bound it).
@@ -350,6 +359,10 @@ type Controller struct {
 	// that can prove it benign, in set order (ascending set index) so
 	// attribution is deterministic.
 	matesByWire map[netlist.WireID][]indexedMATE
+	// held is the table of the wide engine's held rule (held.go), built
+	// on the first campaign that uses it.
+	heldOnce sync.Once
+	held     *heldTable
 }
 
 // indexedMATE pairs a MATE with its index in the campaign MATE set — the

@@ -29,6 +29,7 @@ type campaignMetrics struct {
 	laneWidth    *obs.Gauge     // campaign_lanes
 	converged    *obs.Counter   // campaign_converged_total
 	cyclesSaved  *obs.Counter   // campaign_cycles_saved_total
+	held         *obs.Counter   // campaign_held_total
 	// reg backs the labeled per-MATE attribution counters, which cannot be
 	// hoisted statically (one counter per MATE). mateCounters caches the
 	// registry lookup per MATE index: crediting a pruned point is a hot
@@ -59,6 +60,7 @@ func newCampaignMetrics(reg *obs.Registry, totalPoints int) *campaignMetrics {
 		laneWidth:    reg.Gauge("campaign_lanes"),
 		converged:    reg.Counter("campaign_converged_total"),
 		cyclesSaved:  reg.Counter("campaign_cycles_saved_total"),
+		held:         reg.Counter("campaign_held_total"),
 		reg:          reg,
 		mateCounters: map[int]*obs.Counter{},
 	}
@@ -113,6 +115,14 @@ func (m *campaignMetrics) convergedN(n int, saved int64) {
 	}
 	m.converged.Add(int64(n))
 	m.cyclesSaved.Add(saved)
+}
+
+// heldOne accounts one experiment retired by the held rule.
+func (m *campaignMetrics) heldOne() {
+	if m == nil {
+		return
+	}
+	m.held.Inc()
 }
 
 // replay accounts one point merged from a recovered journal.

@@ -133,14 +133,14 @@ func runInterrupted(t *testing.T, ctl *Controller, cfg CampaignConfig, run64 Run
 	return path, res
 }
 
-// dropConvergence copies a result with the convergence early-exit
-// statistics zeroed. Converged/CyclesSaved describe how a run executed,
+// dropConvergence copies a result with the convergence early-exit and held
+// rule statistics zeroed. Converged/CyclesSaved/Held describe how a run executed,
 // not what it concluded: a resumed campaign replays journaled points
 // without re-executing them, so it legitimately reports fewer early exits
 // than the uninterrupted baseline while classifying identically.
 func dropConvergence(r *CampaignResult) *CampaignResult {
 	cp := *r
-	cp.Converged, cp.CyclesSaved, cp.reorderHighWater = 0, 0, 0
+	cp.Converged, cp.CyclesSaved, cp.Held, cp.reorderHighWater = 0, 0, 0, 0
 	return &cp
 }
 

@@ -120,6 +120,7 @@ type device struct {
 	out     *[]laneResult
 	timeout int
 	early   bool
+	held    *heldTable // nil when early is off
 
 	lanes, groups                int
 	goldenM, runM, tailM, halted []uint64 // one bit per lane, per group
@@ -127,12 +128,13 @@ type device struct {
 	pos                          []int32 // plan position of a run or tail lane
 	end                          []int   // first cycle past the lane's active window
 	deadline                     []int   // device step at which the lane has hung
-	// witness[lane] is the lane's watched flip-flop: where the convergence
+	// witness[lane] is the lane's watched flip-flop: where the retirement
 	// check last saw it diverge. While that flip-flop still differs from
-	// golden the lane cannot have converged, so the per-cycle check is one
-	// word load instead of a scan over every flip-flop. Any valid index is a
-	// sound start; 0 forces one full scan on first use.
-	witness []int32
+	// golden and its flip is not held from this cycle on, the lane can
+	// neither have converged nor be held, so the per-cycle check is one
+	// word load instead of a scan over every flip-flop.
+	witness []watch
+	watch0  watch // a fresh lane's witness: flip-flop 0
 	ffs     []laneFFs
 
 	steps        int  // device steps taken: the clock deadlines are read on
@@ -161,8 +163,12 @@ func newDevice(c *Controller, cfg *CampaignConfig, run RunW, timeout int, result
 		goldenM: make([]uint64, groups), runM: make([]uint64, groups),
 		tailM: make([]uint64, groups), halted: make([]uint64, groups),
 		pos: make([]int32, lanes), end: make([]int, lanes), deadline: make([]int, lanes),
-		witness: make([]int32, lanes), ffs: make([]laneFFs, lanes),
+		witness: make([]watch, lanes), ffs: make([]laneFFs, lanes),
 		nextDeadline: math.MaxInt,
+	}
+	if d.early {
+		d.held = c.heldFaults(cfg.Obs)
+		d.watch0 = watch{0, d.held.from[0], 0}
 	}
 	d.sr, _ = run.(SuspendRunW)
 	d.cr, _ = run.(CompactRunW)
@@ -181,7 +187,7 @@ func (d *device) drive(pl *plan) {
 		for _, pos := range d.abort() {
 			if !d.sweepSafe(pl.solo(pos)) {
 				d.abort()
-				d.emit(pos, OutcomeHarnessError, 0)
+				d.emit(laneResult{pos: pos, out: OutcomeHarnessError})
 				d.flush()
 			}
 		}
@@ -221,8 +227,8 @@ func (d *device) abort() []int32 {
 // sweep is the device loop. It returns when the plan has nothing left to
 // give and every lane the device carried is classified. The order inside
 // one step is the sequential controller's (execute): inject, look at the
-// halt flags, classify halted lanes by signature, retire converged lanes,
-// call the hang of a lane at its deadline, step.
+// halt flags, classify halted lanes by signature, retire converged and
+// held lanes, call the hang of a lane at its deadline, step.
 func (d *device) sweep(pl *plan) {
 	digests := d.c.golden.MemDigests
 	d.planDone = false
@@ -242,9 +248,9 @@ func (d *device) sweep(pl *plan) {
 			for m := (d.runM[g] | d.tailM[g]) & d.halted[g]; m != 0; m &= m - 1 {
 				lane := g<<6 + bits.TrailingZeros64(m)
 				if d.run.SignatureLane(lane) == d.c.golden.Signature {
-					d.retire(lane, OutcomeBenign, 0)
+					d.retire(lane, laneResult{out: OutcomeBenign})
 				} else {
-					d.retire(lane, OutcomeSDC, 0)
+					d.retire(lane, laneResult{out: OutcomeSDC})
 				}
 			}
 		}
@@ -381,7 +387,7 @@ func (d *device) inject(pl *plan) {
 		d.maxEnd = max(d.maxEnd, d.end[lane])
 		d.deadline[lane] = d.steps + d.timeout - d.cyc
 		d.nextDeadline = min(d.nextDeadline, d.deadline[lane])
-		d.witness[lane] = 0
+		d.witness[lane] = d.watch0
 		d.sweepPoints++
 		fm.Inject(&d.ffs[lane], *p, d.cyc)
 	}
@@ -414,30 +420,68 @@ func (d *device) readHalted() {
 	}
 }
 
-// retireConverged is the convergence early-exit over the run lanes past
-// their active window: watched flip-flop, then write digest, then the full
-// flip-flop scan (which also picks the next watched flip-flop). A lane that
-// passes is benign and back in the golden state.
+// retireConverged retires the run lanes past their active window whose
+// remaining run is known. Both rules need the golden write digest. A lane
+// whose flip-flops all equal golden has converged: benign and golden again.
+// A lane whose flip-flops differ from golden in one flip-flop f alone, at a
+// cycle from which f's flip is held to the halt, is held: it takes f's halt
+// verdict (heldTable).
+//
+// The witness keeps the full scan (examine) rare. A diverged witness rules
+// out convergence, and held too unless its flip is held here and its other
+// flip-flop no longer diverges; a lane not ruled out checks its digest, then
+// scans. The scan prefers a witness whose flip is not held, so that the
+// check is one load.
 func (d *device) retireConverged(digest uint64) {
 	row := d.c.golden.Trace.Row(d.cyc)
-	saved := int32(d.c.golden.HaltCycle - d.cyc)
+	cyc := int32(d.cyc)
 	for g := range d.runM {
 		for m := d.runM[g]; m != 0; m &= m - 1 {
 			lane := g<<6 + bits.TrailingZeros64(m)
-			if d.cyc < d.end[lane] || d.mw.FFDivergedLane(int(d.witness[lane]), lane, row) {
+			if d.cyc < d.end[lane] {
 				continue
 			}
-			if d.run.MemDigestLane(lane) != digest {
+			if w := d.witness[lane]; d.mw.FFDivergedLane(int(w.ff), lane, row) &&
+				(cyc < w.heldFrom || w.other != w.ff && d.mw.FFDivergedLane(int(w.other), lane, row)) {
 				continue
 			}
-			if k := d.mw.FirstDivergedFF(lane, row); k >= 0 {
-				d.witness[lane] = int32(k)
-				continue
+			if d.run.MemDigestLane(lane) == digest {
+				d.examine(lane, row)
 			}
-			d.retire(lane, OutcomeBenign, saved)
 		}
 	}
 }
+
+// examine is retireConverged's full flip-flop scan of a lane with the
+// golden write digest: it retires the lane or picks its next witness.
+func (d *device) examine(lane int, row []uint64) {
+	cyc, from := int32(d.cyc), d.held.from
+	first := d.mw.FirstDivergedFF(lane, row, 0)
+	if first < 0 {
+		d.retire(lane, laneResult{out: OutcomeBenign, saved: int32(d.c.golden.HaltCycle - d.cyc)})
+		return
+	}
+	k, other := first, first
+	for ; k >= 0 && cyc >= from[k]; k = d.mw.FirstDivergedFF(lane, row, k+1) {
+		if other == first {
+			other = k
+		}
+	}
+	switch {
+	case k >= 0:
+		d.witness[lane] = watch{int32(k), from[k], int32(k)}
+	case other != first:
+		d.witness[lane] = watch{int32(first), from[first], int32(other)}
+	default:
+		d.retire(lane, laneResult{out: d.held.verdict[first], held: true})
+	}
+}
+
+// watch is a lane's witness: the watched flip-flop ff with the cycle from
+// which its flip is held to the halt (heldTable.from), side by side so that
+// the per-cycle check reads both in one load, and other, a second flip-flop
+// the last scan saw diverge beside a held ff (ff itself when it saw none).
+type watch struct{ ff, heldFrom, other int32 }
 
 // expire calls the hang of every lane at its deadline.
 func (d *device) expire() {
@@ -446,7 +490,7 @@ func (d *device) expire() {
 		for m := d.runM[g] | d.tailM[g]; m != 0; m &= m - 1 {
 			lane := g<<6 + bits.TrailingZeros64(m)
 			if d.steps >= d.deadline[lane] {
-				d.retire(lane, OutcomeHang, 0)
+				d.retire(lane, laneResult{out: OutcomeHang})
 			} else {
 				d.nextDeadline = min(d.nextDeadline, d.deadline[lane])
 			}
@@ -454,9 +498,9 @@ func (d *device) expire() {
 	}
 }
 
-// retire ends a lane's experiment: converged (saved > 0) lanes are golden
-// again, every other lane is dead.
-func (d *device) retire(lane int, o Outcome, saved int32) {
+// retire ends a lane's experiment with r, whose position it fills in:
+// converged (saved > 0) lanes are golden again, every other lane is dead.
+func (d *device) retire(lane int, r laneResult) {
 	g, bit := lane>>6, uint64(1)<<(uint(lane)&63)
 	if d.runM[g]&bit != 0 {
 		d.runM[g] &^= bit
@@ -465,18 +509,19 @@ func (d *device) retire(lane int, o Outcome, saved int32) {
 		d.tailM[g] &^= bit
 		d.nTail--
 	}
-	if saved > 0 {
+	if r.saved > 0 {
 		d.goldenM[g] |= bit
 		d.nGolden++
 	}
-	d.emit(d.pos[lane], o, saved)
+	r.pos = d.pos[lane]
+	d.emit(r)
 }
 
-func (d *device) emit(pos int32, o Outcome, saved int32) {
+func (d *device) emit(r laneResult) {
 	if d.out == nil {
 		d.out = resultPool.Get().(*[]laneResult)
 	}
-	*d.out = append(*d.out, laneResult{pos: pos, saved: saved, out: o})
+	*d.out = append(*d.out, r)
 }
 
 func (d *device) flush() {

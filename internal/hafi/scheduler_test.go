@@ -476,7 +476,7 @@ func TestImportLaneCheckpoint(t *testing.T) {
 				t.Fatalf("%d live lanes after an import into dead lane %d", got, dead)
 			}
 			for cyc := 40; cyc < g.HaltCycle; cyc++ {
-				if ff := dev.MachW().FirstDivergedFF(dead, g.Trace.Row(cyc)); ff >= 0 || dev.MemDigestLane(dead) != g.MemDigests[cyc] {
+				if ff := dev.MachW().FirstDivergedFF(dead, g.Trace.Row(cyc), 0); ff >= 0 || dev.MemDigestLane(dead) != g.MemDigests[cyc] {
 					t.Fatalf("cycle %d: revived lane %d left the golden run (flip-flop %d)", cyc, dead, ff)
 				}
 				dev.Step()

@@ -26,10 +26,7 @@ package intercycle
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
-	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -88,146 +85,61 @@ func (r *Result) String() string {
 		r.Benign, r.TotalPoints, 100*r.Reduction(), r.OpenEnd)
 }
 
-// containment is the per-cycle fate of a held fault.
-type containment uint8
-
-const (
-	containEscapes containment = iota // some sink beyond the own D changed
-	containHolds                      // confined: own D re-captures the flip
-	containKilled                     // own D carries the golden value
-)
-
 // Analyze runs the exact inter-cycle analysis for every fault wire over
-// the whole trace. Fault wires must be flip-flop outputs of nl. The work
-// parallelises over fault wires.
+// the whole trace. Fault wires must be flip-flop outputs of nl. The
+// containment kernel (kernel.go) takes 64 cycles per word and parallelises
+// over fault wires.
 func Analyze(nl *netlist.Netlist, tr *sim.Trace, faultWires []netlist.WireID) (*Result, error) {
+	if err := checkFaultWires(nl, faultWires); err != nil {
+		return nil, err
+	}
+	cycles := tr.NumCycles()
 	res := &Result{
 		FaultWires:  len(faultWires),
-		Cycles:      tr.NumCycles(),
-		TotalPoints: int64(len(faultWires)) * int64(tr.NumCycles()),
+		Cycles:      cycles,
+		TotalPoints: int64(len(faultWires)) * int64(cycles),
 		PerWire:     make([][]Verdict, len(faultWires)),
 	}
-	for _, w := range faultWires {
-		if nl.FFByQ(w) < 0 {
-			return nil, fmt.Errorf("intercycle: wire %s is not a flip-flop output", nl.WireName(w))
+	// Fold backwards: the verdict of a fault held at a cycle is the fate of
+	// the first cycle from there that does not hold it — unknown where it
+	// escapes, benign where it is killed, open-end past the trace.
+	state := make([]Verdict, len(faultWires))
+	for i := range faultWires {
+		res.PerWire[i] = make([]Verdict, cycles)
+		state[i] = VerdictOpenEnd
+	}
+	scan(nl, tr, faultWires, func(i, base, n int, escape, kill uint64) bool {
+		v, st := res.PerWire[i], state[i]
+		for t := n - 1; t >= 0; t-- {
+			switch {
+			case escape>>uint(t)&1 == 1:
+				st = VerdictUnknown
+			case kill>>uint(t)&1 == 1:
+				st = VerdictBenign
+			}
+			v[base+t] = st
+		}
+		state[i] = st
+		return true
+	})
+	for _, v := range res.PerWire {
+		for _, x := range v {
+			switch x {
+			case VerdictBenign:
+				res.Benign++
+			case VerdictOpenEnd:
+				res.OpenEnd++
+			}
 		}
 	}
-
-	workers := runtime.NumCPU()
-	if workers > len(faultWires) {
-		workers = len(faultWires)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	next := 0
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := make([]bool, nl.NumWires())
-			values := make([]bool, nl.NumWires())
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(faultWires) {
-					return
-				}
-				verdicts, benign, open := analyzeWire(nl, tr, faultWires[i], scratch, values)
-				mu.Lock()
-				res.PerWire[i] = verdicts
-				res.Benign += benign
-				res.OpenEnd += open
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
 	return res, nil
 }
 
-// analyzeWire computes the per-cycle containment chain for one flip-flop
-// and folds it into verdicts: scanning backwards, a killed cycle makes
-// every preceding hold-chain benign.
-func analyzeWire(nl *netlist.Netlist, tr *sim.Trace, q netlist.WireID, scratch, values []bool) (verdicts []Verdict, benign, open int64) {
-	cone := core.ComputeCone(nl, q)
-	ffIdx := nl.FFByQ(q)
-	ownD := nl.FFs[ffIdx].D
-
-	cycles := tr.NumCycles()
-	chain := make([]containment, cycles)
-	for cyc := 0; cyc < cycles; cyc++ {
-		chain[cyc] = containAt(nl, cone, tr, cyc, q, ownD, scratch, values)
-	}
-
-	// Fold backwards: state(cyc) = verdict of a fault *held* at cyc.
-	verdicts = make([]Verdict, cycles)
-	state := VerdictOpenEnd
-	for cyc := cycles - 1; cyc >= 0; cyc-- {
-		switch chain[cyc] {
-		case containEscapes:
-			state = VerdictUnknown
-		case containKilled:
-			state = VerdictBenign
-		case containHolds:
-			// inherits the fate of the next cycle (state unchanged)
-		}
-		verdicts[cyc] = state
-		switch state {
-		case VerdictBenign:
-			benign++
-		case VerdictOpenEnd:
-			open++
+func checkFaultWires(nl *netlist.Netlist, faultWires []netlist.WireID) error {
+	for _, w := range faultWires {
+		if nl.FFByQ(w) < 0 {
+			return fmt.Errorf("intercycle: wire %s is not a flip-flop output", nl.WireName(w))
 		}
 	}
-	return verdicts, benign, open
-}
-
-// containAt evaluates one cycle of containment: flip q in the golden state
-// of cycle cyc, re-evaluate the cone, compare sinks.
-func containAt(nl *netlist.Netlist, cone *core.Cone, tr *sim.Trace, cyc int, q, ownD netlist.WireID, scratch, values []bool) containment {
-	row := tr.Row(cyc)
-	for i := range values {
-		values[i] = row[i/64]>>(uint(i)%64)&1 == 1
-	}
-	copy(scratch, values)
-	scratch[q] = !values[q]
-
-	gates := nl.Gates
-	for _, gi := range cone.Gates {
-		g := &gates[gi]
-		var in uint32
-		for p, w := range g.Inputs {
-			if scratch[w] {
-				in |= 1 << uint(p)
-			}
-		}
-		scratch[g.Output] = g.Cell.Eval(in)
-	}
-	for _, s := range cone.Sinks {
-		if s == ownD {
-			continue
-		}
-		if scratch[s] != values[s] {
-			return containEscapes
-		}
-	}
-	// The flipped FF's own next state: note that the same D wire may also
-	// feed other flip-flops; those are covered because a shared D wire
-	// with a changed value would differ from golden — checked below.
-	if len(nl.FFsOfD(ownD)) > 1 && scratch[ownD] != values[ownD] {
-		return containEscapes
-	}
-	if scratch[ownD] == values[ownD] {
-		// The flip-flop recaptures its golden next state: fault killed.
-		return containKilled
-	}
-	// Otherwise the captured next state is the complement of the golden
-	// one — at cyc+1 the machine is exactly "golden with this flip-flop
-	// flipped" again, which is the induction premise for the next cycle.
-	return containHolds
+	return nil
 }

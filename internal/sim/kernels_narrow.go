@@ -11,7 +11,7 @@ package sim
 //
 // Each has a case for the nine kinds of kernelKinds and nothing else — the
 // cells internal/synth builds the AVR and MSP430 cores from — and hands
-// every other span to evalProgramN, where the library lives (evalOpWords).
+// every other span to evalProgramN, which knows the whole library.
 // A new op form is therefore four cases of a few lines, in lockstep with
 // evalProgram4; TestWidth1GenericFallback checks every body against the
 // cell truth tables, TestResolvedKernelsMatchGeneric against evalProgramN.

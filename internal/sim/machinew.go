@@ -30,9 +30,9 @@ import (
 // netlist contains — what internal/synth builds both cores from: TIE0,
 // TIE1, INV, AND2, OR2, XOR2, XNOR2, MUX2, MAJ3. A span of any other kind
 // is handed to evalProgramN, the reference kernel over the index program;
-// evalOpWords under it is the one place on the wide side that knows the
-// whole cell library, truth-table cells included. FallbackOps counts the
-// ops served that way: 0 on both cores.
+// it evaluates every library kind by its word formula in
+// cell.Kind.EvalWords, and any other kind by its truth table.
+// FallbackOps counts the ops served that way: 0 on both cores.
 //
 // Width parameterization is deliberately NOT done with Go generics: a
 // type parameter cannot range over array lengths ([1]uint64|[4]uint64 has
@@ -493,16 +493,16 @@ func (m *MachineW) FFDivergedLane(ffIndex, lane int, goldenRow []uint64) bool {
 	return m.values[int(m.ffQs[ffIndex])+lane>>6]>>(uint(lane)&63)&1 != gb
 }
 
-// FirstDivergedFF returns the index of the first flip-flop in which one
-// lane differs from a packed golden wire row, or -1 when the lane's full
-// flip-flop state matches the reference — the convergence test, fused
-// with finding the next watched flip-flop for FFDivergedLane.
-func (m *MachineW) FirstDivergedFF(lane int, goldenRow []uint64) int {
+// FirstDivergedFF returns the index of the first flip-flop from index from
+// on in which one lane differs from a packed golden wire row, or -1 when
+// there is none — from 0, the convergence test, fused with finding the
+// next watched flip-flop for FFDivergedLane.
+func (m *MachineW) FirstDivergedFF(lane int, goldenRow []uint64, from int) int {
 	g, sh := lane>>6, uint(lane)&63
-	for i, q := range m.ffQ {
+	for i, q := range m.ffQ[from:] {
 		gb := goldenRow[q>>6] >> (uint(q) & 63) & 1
-		if m.values[int(m.ffQs[i])+g]>>sh&1 != gb {
-			return i
+		if m.values[int(m.ffQs[from+i])+g]>>sh&1 != gb {
+			return from + i
 		}
 	}
 	return -1
@@ -634,83 +634,35 @@ func evalProgramN(ops []op64, v []uint64, ag int) {
 			for p := 0; p < int(o.numPins); p++ {
 				in[p] = v[o.in[p]+g]
 			}
-			v[o.out+g] = evalOpWords(o, &in)
+			out, ok := o.kind.EvalWords(&in)
+			if !ok {
+				out = evalTruthTable(o, &in)
+			}
+			v[o.out+g] = out
 		}
 	}
 }
 
-// evalOpWords evaluates one op given its input lane words: every library
-// kind by its formula, anything else by its truth table.
-func evalOpWords(o *op64, in *[4]uint64) uint64 {
-	switch o.kind {
-	case cell.TIE0:
-		return 0
-	case cell.TIE1:
-		return ^uint64(0)
-	case cell.BUF:
-		return in[0]
-	case cell.INV:
-		return ^in[0]
-	case cell.AND2:
-		return in[0] & in[1]
-	case cell.AND3:
-		return in[0] & in[1] & in[2]
-	case cell.AND4:
-		return in[0] & in[1] & in[2] & in[3]
-	case cell.NAND2:
-		return ^(in[0] & in[1])
-	case cell.NAND3:
-		return ^(in[0] & in[1] & in[2])
-	case cell.NAND4:
-		return ^(in[0] & in[1] & in[2] & in[3])
-	case cell.OR2:
-		return in[0] | in[1]
-	case cell.OR3:
-		return in[0] | in[1] | in[2]
-	case cell.OR4:
-		return in[0] | in[1] | in[2] | in[3]
-	case cell.NOR2:
-		return ^(in[0] | in[1])
-	case cell.NOR3:
-		return ^(in[0] | in[1] | in[2])
-	case cell.NOR4:
-		return ^(in[0] | in[1] | in[2] | in[3])
-	case cell.XOR2:
-		return in[0] ^ in[1]
-	case cell.XNOR2:
-		return ^(in[0] ^ in[1])
-	case cell.MUX2:
-		return (^in[2] & in[0]) | (in[2] & in[1])
-	case cell.AOI21:
-		return ^((in[0] & in[1]) | in[2])
-	case cell.AOI22:
-		return ^((in[0] & in[1]) | (in[2] & in[3]))
-	case cell.OAI21:
-		return ^((in[0] | in[1]) & in[2])
-	case cell.OAI22:
-		return ^((in[0] | in[1]) & (in[2] | in[3]))
-	case cell.MAJ3:
-		return (in[0] & in[1]) | (in[0] & in[2]) | (in[1] & in[2])
-	default:
-		// Generic fallback: Shannon expansion over the truth table.
-		var out uint64
-		n := int(o.numPins)
-		for minterm := 0; minterm < 1<<n; minterm++ {
-			if o.tt>>uint(minterm)&1 == 0 {
-				continue
-			}
-			term := ^uint64(0)
-			for p := 0; p < n; p++ {
-				if minterm>>uint(p)&1 == 1 {
-					term &= in[p]
-				} else {
-					term &= ^in[p]
-				}
-			}
-			out |= term
+// evalTruthTable evaluates an op of a kind outside the cell library, which
+// has no word formula, by Shannon expansion over its truth table.
+func evalTruthTable(o *op64, in *[4]uint64) uint64 {
+	var out uint64
+	n := int(o.numPins)
+	for minterm := 0; minterm < 1<<n; minterm++ {
+		if o.tt>>uint(minterm)&1 == 0 {
+			continue
 		}
-		return out
+		term := ^uint64(0)
+		for p := 0; p < n; p++ {
+			if minterm>>uint(p)&1 == 1 {
+				term &= in[p]
+			} else {
+				term &= ^in[p]
+			}
+		}
+		out |= term
 	}
+	return out
 }
 
 // evalProgram4 is the hand-unrolled four-group (256-lane) kernel: one

@@ -9,7 +9,7 @@ import (
 )
 
 // allKindsMachine builds a width-w machine whose program holds one gate of
-// every library cell plus one op of a kind not even evalOpWords names, so
+// every library cell plus one op of a kind outside the library, so
 // every case of the unrolled kernels, the fallback span in each of them and
 // the truth-table expansion under it all run.
 func allKindsMachine(t *testing.T, w int, rng *rand.Rand) *MachineW {

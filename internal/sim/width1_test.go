@@ -206,7 +206,7 @@ func TestWidth1GenericFallback(t *testing.T) {
 	}
 }
 
-// unknownKind is a cell kind neither a kernel nor evalOpWords has a case for.
+// unknownKind is a cell kind neither a kernel nor cell.Kind.EvalWords has a case for.
 const unknownKind = cell.Kind(255)
 
 // randomSyncCircuit builds a random synchronous circuit (shared with the

@@ -189,6 +189,30 @@ if [ "${fullconv:-0}" -ne 0 ]; then
     exit 1
 fi
 
+echo "== held rule: same journal with and without it"
+# Lanes golden but for one flip-flop held to the halt retire at once with
+# that flip's halt verdict; the journal must not notice. Fib leaves nine
+# registers untouched, so the rule must fire.
+hargs=(-cpu avr -prog fib -stride 300)
+"$tmp/campaign" "${hargs[@]}" -journal "$tmp/held.journal" -stats-json "$tmp/held-stats.json" \
+    > "$tmp/held.out"
+"$tmp/campaign" "${hargs[@]}" -journal "$tmp/noheld.journal" -no-early-exit > "$tmp/noheld.out"
+cmp "$tmp/held.journal" "$tmp/noheld.journal" || {
+    echo "FAIL: the held rule changed the journal" >&2
+    exit 1
+}
+held=$(sed -n 's/^held: *\([0-9][0-9]*\).*/\1/p' "$tmp/held.out")
+if [ "${held:-0}" -le 0 ]; then
+    echo "FAIL: no experiment retired by the held rule (summary line 'held N' missing)" >&2
+    cat "$tmp/held.out" >&2
+    exit 1
+fi
+if [ "$(counter "$tmp/held-stats.json" campaign_held_total)" != "$held" ]; then
+    echo "FAIL: -stats-json campaign_held_total differs from the summary's held $held" >&2
+    exit 1
+fi
+echo "held rule: held $held, journals identical"
+
 echo "== real SIGINT"
 rc=0
 "$tmp/campaign" "${args[@]}" -journal "$tmp/sigint.journal" > "$tmp/sigint.out" &
@@ -262,6 +286,10 @@ if [ "$scraped" -ne 1 ]; then
     cat "$tmp/metrics.err" >&2
     exit 1
 fi
+printf '%s\n' "$body" | grep -q '^campaign_held_total ' || {
+    echo "FAIL: /metrics does not export campaign_held_total" >&2
+    exit 1
+}
 grep -q '"campaign_points_done_total"' "$tmp/stats.json" || {
     echo "FAIL: -stats-json dump is missing campaign counters" >&2
     cat "$tmp/stats.json" >&2
