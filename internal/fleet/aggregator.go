@@ -45,8 +45,9 @@ type WorkerStatus struct {
 // coordinator's mu, which already serialises heartbeats, completions and
 // status snapshots.
 //
-// The fleet counts live in the registry (fleet_injections_total and
-// friends); the struct keeps only what the registry has no type for.
+// Every folded counter lands in the registry under the name the worker
+// reported it by; the struct keeps only what the registry has no type
+// for.
 type aggregator struct {
 	driftFraction float64
 	activeWindow  time.Duration
@@ -54,18 +55,16 @@ type aggregator struct {
 	workers   map[string]*workerAgg
 	batches   int64   // folded sweeps of devices with a known width
 	laneSum   float64 // Σ over those sweeps of busy lanes / device lanes
-	outcomes  map[string]int64
 	anomalies map[string]*Anomaly
 
-	events                                     *obs.EventLog
-	reg                                        *obs.Registry
-	injections, pruned, converged, cyclesSaved *obs.Counter // fleet_*_total
-	anomaliesActive                            *obs.Gauge   // fleet_anomalies
+	events          *obs.EventLog
+	reg             *obs.Registry
+	anomaliesActive *obs.Gauge // fleet_anomalies
 }
 
 // workerAgg is one worker's folding state.
 type workerAgg struct {
-	last     Telemetry // previous cumulative sample (delta baseline)
+	last     obs.Stats // previous campaign document (delta baseline)
 	sampled  bool
 	lastSeen time.Time
 	rate     float64 // EWMA points/s
@@ -84,30 +83,25 @@ const stragglerFraction = 0.35
 
 // newAggregator folds into opts.Obs, which NewCoordinator guarantees.
 func newAggregator(opts Options) *aggregator {
-	reg := opts.Obs
 	return &aggregator{
 		driftFraction:   0.25,
 		activeWindow:    3 * opts.Heartbeat,
 		workers:         map[string]*workerAgg{},
-		outcomes:        map[string]int64{},
 		anomalies:       map[string]*Anomaly{},
 		events:          opts.Events,
-		reg:             reg,
-		injections:      reg.Counter("fleet_injections_total"),
-		pruned:          reg.Counter("fleet_pruned_total"),
-		converged:       reg.Counter("fleet_converged_total"),
-		cyclesSaved:     reg.Counter("fleet_cycles_saved_total"),
-		anomaliesActive: reg.Gauge("fleet_anomalies"),
+		reg:             opts.Obs,
+		anomaliesActive: opts.Obs.Gauge("fleet_anomalies"),
 	}
 }
 
-// fold absorbs one heartbeat's telemetry snapshot: the delta against the
-// worker's previous snapshot is added to the fleet counters, and the
-// worker's EWMA throughput is advanced from the points-done delta over
-// the inter-heartbeat interval.
+// fold absorbs one heartbeat's telemetry: every counter's delta against
+// the worker's previous document is added to the registry counter of the
+// same name, and the worker's EWMA throughput is advanced from the
+// points-done delta over the inter-heartbeat interval.
 func (a *aggregator) fold(worker string, shard int, tel *Telemetry, now time.Time) {
-	if tel == nil {
-		tel = &Telemetry{}
+	var cur obs.Stats
+	if tel != nil && tel.Campaign != nil {
+		cur = *tel.Campaign
 	}
 	wa := a.workers[worker]
 	if wa == nil {
@@ -115,23 +109,21 @@ func (a *aggregator) fold(worker string, shard int, tel *Telemetry, now time.Tim
 		a.workers[worker] = wa
 	}
 	if wa.sampled {
-		d := tel.sub(&wa.last)
-		a.injections.Add(d.Injections)
-		a.pruned.Add(d.Pruned)
-		a.converged.Add(d.Converged)
-		a.cyclesSaved.Add(d.CyclesSaved)
-		a.reg.Counter("fleet_worker_points_total", "worker", worker).Add(d.Done)
+		d := counterDeltas(cur.Counters, wa.last.Counters)
+		for key, n := range d {
+			a.reg.AddCounter(key, n)
+		}
+		done := d["campaign_points_done_total"]
+		a.reg.Counter("fleet_worker_points_total", "worker", worker).Add(done)
 		// Each worker's sweeps are normalised by its own device width, so
 		// workers run at different -lanes fold into one fraction.
-		if tel.Lanes > 0 {
-			a.batches += d.Batches
-			a.laneSum += d.LaneSum / float64(tel.Lanes)
-		}
-		for k, v := range d.Outcomes {
-			a.outcomes[k] += v
+		if lanes := cur.Gauges["campaign_lanes"]; lanes > 0 {
+			a.batches += d["campaign_batches_total"]
+			busy := cur.Histograms["campaign_batch_lanes"].Sum - wa.last.Histograms["campaign_batch_lanes"].Sum
+			a.laneSum += max(busy, 0) / float64(lanes)
 		}
 		if dt := now.Sub(wa.lastSeen).Seconds(); dt > 0 {
-			inst := float64(d.Done) / dt
+			inst := float64(done) / dt
 			if wa.haveRate {
 				wa.rate = ewmaAlpha*inst + (1-ewmaAlpha)*wa.rate
 			} else {
@@ -140,11 +132,11 @@ func (a *aggregator) fold(worker string, shard int, tel *Telemetry, now time.Tim
 			}
 		}
 	}
-	wa.last = *tel
+	wa.last = cur
 	wa.sampled = true
 	wa.lastSeen = now
 	wa.shard = shard
-	wa.done = tel.Done
+	wa.done = cur.Counters["campaign_points_done_total"]
 }
 
 // workerDone notes that worker finished (or lost) its shard, so the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,26 +15,39 @@ import (
 )
 
 // TestTelemetryDeltaClamped: a worker restart resets its cumulative
-// counters, so a snapshot below the previous one must fold as a zero
+// counters, so a document below the previous one must fold as a zero
 // delta, never a negative one.
 func TestTelemetryDeltaClamped(t *testing.T) {
-	prev := &Telemetry{Done: 100, Injections: 500, Outcomes: map[string]int64{"sdc": 9}}
-	next := &Telemetry{Done: 10, Injections: 600, Outcomes: map[string]int64{"sdc": 2}}
-	d := next.sub(prev)
-	if d.Done != 0 {
-		t.Fatalf("regressed Done delta = %d, want clamped to 0", d.Done)
+	prev := map[string]int64{"campaign_points_done_total": 100, "campaign_injections_total": 500,
+		"campaign_outcomes_total{outcome=sdc}": 9}
+	next := map[string]int64{"campaign_points_done_total": 10, "campaign_injections_total": 600,
+		"campaign_outcomes_total{outcome=sdc}": 2}
+	d := counterDeltas(next, prev)
+	if d["campaign_points_done_total"] != 0 {
+		t.Fatalf("regressed points-done delta = %d, want clamped to 0", d["campaign_points_done_total"])
 	}
-	if d.Injections != 100 {
-		t.Fatalf("Injections delta = %d, want 100", d.Injections)
+	if d["campaign_injections_total"] != 100 {
+		t.Fatalf("injections delta = %d, want 100", d["campaign_injections_total"])
 	}
-	if d.Outcomes["sdc"] != 0 {
-		t.Fatalf("regressed outcome delta = %d, want clamped to 0", d.Outcomes["sdc"])
+	if d["campaign_outcomes_total{outcome=sdc}"] != 0 {
+		t.Fatalf("regressed outcome delta = %d, want clamped to 0", d["campaign_outcomes_total{outcome=sdc}"])
 	}
+}
+
+// campaignTel is a heartbeat carrying the given campaign counters.
+func campaignTel(shardDone int64, counters map[string]int64) *Telemetry {
+	return &Telemetry{ShardDone: shardDone, Campaign: &obs.Stats{Counters: counters}}
 }
 
 // heartbeatTel is a convenience cumulative snapshot.
 func heartbeatTel(done int64) *Telemetry {
-	return &Telemetry{ShardDone: done, Done: done, Injections: done * 3, Batches: done / 2, LaneSum: float64(done)}
+	tel := campaignTel(done, map[string]int64{
+		"campaign_points_done_total": done,
+		"campaign_injections_total":  done * 3,
+		"campaign_batches_total":     done / 2,
+	})
+	tel.Campaign.Histograms = map[string]obs.StatsHistogram{"campaign_batch_lanes": {Sum: float64(done)}}
+	return tel
 }
 
 // TestProgressFromHeartbeatTelemetry: before any telemetry the ETA is
@@ -76,8 +91,8 @@ func TestProgressFromHeartbeatTelemetry(t *testing.T) {
 	// The first snapshot is the delta baseline (folding it whole would
 	// double-count a worker rejoining a restarted coordinator), so totals
 	// cover the second interval only: 60 cumulative - 30 baseline.
-	if p.Injections != 30 {
-		t.Fatalf("injections = %d, want 30", p.Injections)
+	if n := st.Counters["campaign_injections_total"]; n != 30 {
+		t.Fatalf("injections = %d, want 30", n)
 	}
 	if len(st.Workers) != 1 || st.Workers[0].Worker != "w1" || st.Workers[0].Shard != g.Shard {
 		t.Fatalf("workers = %+v", st.Workers)
@@ -322,7 +337,9 @@ func TestLaneOccupancyPerDeviceWidth(t *testing.T) {
 	gNarrow := mustLease(t, c, "narrow")
 	beat := func(worker string, g LeaseGrant, batches, busy, lanes int64) {
 		t.Helper()
-		tel := &Telemetry{Batches: batches, LaneSum: float64(batches * busy), Lanes: lanes}
+		tel := campaignTel(0, map[string]int64{"campaign_batches_total": batches})
+		tel.Campaign.Gauges = map[string]int64{"campaign_lanes": lanes}
+		tel.Campaign.Histograms = map[string]obs.StatsHistogram{"campaign_batch_lanes": {Sum: float64(batches * busy)}}
 		if err := c.Heartbeat(worker, g.Shard, g.Fence, tel); err != nil {
 			t.Fatal(err)
 		}
@@ -344,29 +361,13 @@ func TestLaneOccupancyPerDeviceWidth(t *testing.T) {
 	}
 }
 
-// registryCounters reads the fleet_* lifetime counters out of reg.
-func registryCounters(reg *obs.Registry) Counters {
-	v := func(name string) int64 { return reg.Counter(name).Value() }
-	return Counters{
-		LeasesGranted:      v("fleet_leases_granted_total"),
-		LeaseExpiries:      v("fleet_lease_expiries_total"),
-		LeaseRegrants:      v("fleet_lease_regrants_total"),
-		Heartbeats:         v("fleet_heartbeats_total"),
-		HeartbeatsStale:    v("fleet_heartbeats_stale_total"),
-		Completions:        v("fleet_completions_total"),
-		CompletionsStale:   v("fleet_completions_stale_total"),
-		CompletionsInvalid: v("fleet_completions_invalid_total"),
-		Merges:             v("fleet_merges_total"),
-	}
-}
-
 // TestCountersAreTheRegistry: every lease-protocol event is counted once,
 // in the registry, and Status reads it back — with an operator registry
 // and with the coordinator's private one alike. The drive gives every
 // counter a different value, so a field read from the wrong counter
 // shows.
 func TestCountersAreTheRegistry(t *testing.T) {
-	drive := func(reg *obs.Registry) Counters {
+	drive := func(reg *obs.Registry) map[string]int64 {
 		clock := newFakeClock()
 		c, err := NewCoordinator(testPoints(70, 5), testGolden, Options{
 			Shards:   7,
@@ -421,23 +422,94 @@ func TestCountersAreTheRegistry(t *testing.T) {
 			t.Fatalf("status = %+v, want 7 shards merged", st)
 		}
 		if reg != nil {
-			if got := registryCounters(reg); got != st.Counters {
+			if got := reg.Stats().Counters; !reflect.DeepEqual(got, st.Counters) {
 				t.Fatalf("Status().Counters = %+v, registry = %+v", st.Counters, got)
 			}
 		}
 		return st.Counters
 	}
 
-	want := Counters{
-		LeasesGranted: 15, LeaseExpiries: 2, LeaseRegrants: 8,
-		Heartbeats: 5, HeartbeatsStale: 4,
-		Completions: 7, CompletionsStale: 3, CompletionsInvalid: 6,
-		Merges: 1,
+	want := map[string]int64{
+		"fleet_leases_granted_total": 15, "fleet_lease_expiries_total": 2, "fleet_lease_regrants_total": 8,
+		"fleet_heartbeats_total": 5, "fleet_heartbeats_stale_total": 4,
+		"fleet_completions_total": 7, "fleet_completions_stale_total": 3, "fleet_completions_invalid_total": 6,
+		"fleet_merges_total": 1,
 	}
-	if got := drive(obs.NewRegistry()); got != want {
-		t.Fatalf("counters with an operator registry = %+v, want %+v", got, want)
+	check := func(kind string, got map[string]int64) {
+		t.Helper()
+		for name, n := range want {
+			if got[name] != n {
+				t.Fatalf("%s with %s: %d, want %d (counters %+v)", name, kind, got[name], n, got)
+			}
+		}
 	}
-	if got := drive(nil); got != want {
-		t.Fatalf("counters with the private registry = %+v, want %+v", got, want)
+	check("an operator registry", drive(obs.NewRegistry()))
+	check("the private registry", drive(nil))
+}
+
+// TestFoldIsGeneric: the coordinator has no code for these counters, yet
+// each one a heartbeat carries lands, summed over workers, in Status and
+// on /metrics under its own name and labels. A restarted worker's
+// smaller counters fold zero and become its new baseline.
+func TestFoldIsGeneric(t *testing.T) {
+	clock := newFakeClock()
+	reg := obs.NewRegistry()
+	c, err := NewCoordinator(testPoints(100, 5), testGolden, Options{
+		Shards:   2,
+		LeaseTTL: 10 * time.Second, Heartbeat: 2 * time.Second,
+		Dir: t.TempDir(), Now: clock.Now, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
+	const (
+		held = "campaign_held_total"
+		sdc  = "campaign_outcomes_total{outcome=sdc}"
+		mate = "campaign_mate_pruned_total{mate=3,width=2}"
+	)
+	grants := map[string]LeaseGrant{"w1": mustLease(t, c, "w1"), "w2": mustLease(t, c, "w2")}
+	beat := func(worker string, h, s, m int64) {
+		t.Helper()
+		clock.Advance(time.Second)
+		g := grants[worker]
+		if err := c.Heartbeat(worker, g.Shard, g.Fence, campaignTel(0, map[string]int64{held: h, sdc: s, mate: m})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(stage string, h, s, m int64) {
+		t.Helper()
+		got := c.Status().Counters
+		var prom bytes.Buffer
+		rec := httptest.NewRecorder()
+		NewHandler(c, reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		prom.Write(rec.Body.Bytes())
+		for _, w := range []struct {
+			key, line string
+			n         int64
+		}{
+			{held, "campaign_held_total", h},
+			{sdc, `campaign_outcomes_total{outcome="sdc"}`, s},
+			{mate, `campaign_mate_pruned_total{mate="3",width="2"}`, m},
+		} {
+			if got[w.key] != w.n {
+				t.Fatalf("%s: Status().Counters[%s] = %d, want %d", stage, w.key, got[w.key], w.n)
+			}
+			if line := fmt.Sprintf("%s %d\n", w.line, w.n); !strings.Contains(prom.String(), line) {
+				t.Fatalf("%s: /metrics lacks %q:\n%s", stage, line, prom.String())
+			}
+		}
+	}
+	beat("w1", 10, 4, 100) // baselines
+	beat("w2", 1, 1, 1)
+	beat("w1", 13, 6, 150)
+	beat("w2", 5, 2, 21)
+	expect("two workers", 3+4, 2+1, 50+20)
+
+	// w1 restarts under the same name: its counters drop, the delta
+	// clamps to zero and the new document becomes its baseline.
+	beat("w1", 2, 0, 5)
+	expect("after the restart", 7, 3, 70)
+	beat("w1", 4, 1, 9)
+	expect("past the new baseline", 7+2, 3+1, 70+4)
 }

@@ -214,14 +214,14 @@ func TestFleetChaos(t *testing.T) {
 	if !st.Merged || st.Done != st.Shards {
 		t.Fatalf("campaign not fully merged: %+v", st)
 	}
-	if st.Counters.LeaseExpiries < 2 {
+	if st.Counters["fleet_lease_expiries_total"] < 2 {
 		t.Fatalf("expected the zombie's and the crashed worker's leases to expire: %+v", st.Counters)
 	}
-	if st.Counters.LeaseRegrants < 2 {
+	if st.Counters["fleet_lease_regrants_total"] < 2 {
 		t.Fatalf("expected both orphaned shards to be re-leased: %+v", st.Counters)
 	}
-	if st.Counters.CompletionsStale != 1 {
-		t.Fatalf("fencing counter = %d, want exactly the zombie's rejected upload", st.Counters.CompletionsStale)
+	if st.Counters["fleet_completions_stale_total"] != 1 {
+		t.Fatalf("fencing counter = %d, want exactly the zombie's rejected upload", st.Counters["fleet_completions_stale_total"])
 	}
 
 	// --- the merged journal is the single-process journal, point for point

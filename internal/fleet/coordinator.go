@@ -79,7 +79,10 @@ type Options struct {
 	// fingerprint and lease fields.
 	Spec Spec
 	// Obs is the registry the coordinator counts into (nil = a private
-	// one, so Status works without observability flags).
+	// one, so Status works without observability flags). Heartbeat
+	// telemetry folds the workers' campaign_* counters into it under
+	// their own names, so it must not also be the registry of a campaign
+	// run in the same process: those counters would count twice.
 	Obs *obs.Registry
 	// Now is the clock (nil = time.Now; injectable for expiry tests).
 	Now func() time.Time
@@ -92,20 +95,6 @@ type Options struct {
 	// time: the campaign root span, one process group per shard, and every
 	// worker-uploaded trace segment nested inside its shard span.
 	Trace *tracefile.Writer
-}
-
-// Counters are the coordinator's lifetime event counts, exposed in
-// /v1/status: a read-back of the registry's fleet_* counters.
-type Counters struct {
-	LeasesGranted      int64 `json:"leases_granted"`
-	LeaseExpiries      int64 `json:"lease_expiries"`
-	LeaseRegrants      int64 `json:"lease_regrants"`
-	Heartbeats         int64 `json:"heartbeats"`
-	HeartbeatsStale    int64 `json:"heartbeats_stale"`
-	Completions        int64 `json:"completions"`
-	CompletionsStale   int64 `json:"completions_stale"`
-	CompletionsInvalid int64 `json:"completions_invalid"`
-	Merges             int64 `json:"merges"`
 }
 
 // shardSlot is one shard plus its lease state.
@@ -135,13 +124,8 @@ type Progress struct {
 	Rate float64 `json:"rate"`
 	// ETASeconds estimates time to campaign completion; -1 until the
 	// first heartbeat telemetry establishes a throughput.
-	ETASeconds    float64          `json:"eta_seconds"`
-	Injections    int64            `json:"injections"`
-	Pruned        int64            `json:"pruned"`
-	Converged     int64            `json:"converged"`
-	CyclesSaved   int64            `json:"cycles_saved"`
-	LaneOccupancy float64          `json:"lane_occupancy"`
-	Outcomes      map[string]int64 `json:"outcomes,omitempty"`
+	ETASeconds    float64 `json:"eta_seconds"`
+	LaneOccupancy float64 `json:"lane_occupancy"`
 }
 
 // ShardStatus is one row of the live shard map in /status.
@@ -158,18 +142,21 @@ type ShardStatus struct {
 
 // Status is the coordinator snapshot served on /v1/status and /status.
 type Status struct {
-	Shards    int            `json:"shards"`
-	Pending   int            `json:"pending"`
-	Leased    int            `json:"leased"`
-	Done      int            `json:"done"`
-	Merged    bool           `json:"merged"`
-	Output    string         `json:"output"`
-	TraceID   string         `json:"trace_id"`
-	Counters  Counters       `json:"counters"`
-	Progress  Progress       `json:"progress"`
-	Workers   []WorkerStatus `json:"workers,omitempty"`
-	ShardMap  []ShardStatus  `json:"shard_map,omitempty"`
-	Anomalies []Anomaly      `json:"anomalies,omitempty"`
+	Shards  int    `json:"shards"`
+	Pending int    `json:"pending"`
+	Leased  int    `json:"leased"`
+	Done    int    `json:"done"`
+	Merged  bool   `json:"merged"`
+	Output  string `json:"output"`
+	TraceID string `json:"trace_id"`
+	// Counters is the coordinator registry's counter map: the fleet_*
+	// lease-protocol counts and every campaign_* counter folded from
+	// worker heartbeats, keyed as in the -stats-json document.
+	Counters  map[string]int64 `json:"counters"`
+	Progress  Progress         `json:"progress"`
+	Workers   []WorkerStatus   `json:"workers,omitempty"`
+	ShardMap  []ShardStatus    `json:"shard_map,omitempty"`
+	Anomalies []Anomaly        `json:"anomalies,omitempty"`
 }
 
 // Coordinator owns a campaign's shard plan and lease table. All methods
@@ -824,21 +811,11 @@ func (c *Coordinator) Status() Status {
 	c.tryMergeLocked()
 	c.agg.detect(now, c.shards, c.opts.LeaseTTL)
 	st := Status{
-		Shards:  len(c.shards),
-		Merged:  c.merged,
-		Output:  c.opts.Output,
-		TraceID: c.traceID,
-		Counters: Counters{
-			LeasesGranted:      c.met.granted.Value(),
-			LeaseExpiries:      c.met.expired.Value(),
-			LeaseRegrants:      c.met.regranted.Value(),
-			Heartbeats:         c.met.heartbeats.Value(),
-			HeartbeatsStale:    c.met.heartbeatsStale.Value(),
-			Completions:        c.met.completions.Value(),
-			CompletionsStale:   c.met.completionsStale.Value(),
-			CompletionsInvalid: c.met.completionsInvalid.Value(),
-			Merges:             c.met.merges.Value(),
-		},
+		Shards:   len(c.shards),
+		Merged:   c.merged,
+		Output:   c.opts.Output,
+		TraceID:  c.traceID,
+		Counters: c.opts.Obs.Stats().Counters,
 		Progress: c.progressLocked(now),
 		Workers:  c.agg.workerStatuses(),
 	}
@@ -878,17 +855,7 @@ func (c *Coordinator) progressLocked(now time.Time) Progress {
 		PointsDone:    c.pointsDoneLocked(),
 		Rate:          c.agg.fleetRate(now),
 		ETASeconds:    -1,
-		Injections:    c.agg.injections.Value(),
-		Pruned:        c.agg.pruned.Value(),
-		Converged:     c.agg.converged.Value(),
-		CyclesSaved:   c.agg.cyclesSaved.Value(),
 		LaneOccupancy: c.agg.laneOccupancy(),
-	}
-	if len(c.agg.outcomes) > 0 {
-		p.Outcomes = make(map[string]int64, len(c.agg.outcomes))
-		for k, v := range c.agg.outcomes {
-			p.Outcomes[k] = v
-		}
 	}
 	if remaining := p.PointsTotal - p.PointsDone; remaining <= 0 {
 		p.ETASeconds = 0
@@ -900,7 +867,7 @@ func (c *Coordinator) progressLocked(now time.Time) Progress {
 }
 
 // fleetMetrics holds the coordinator's fleet_* registry handles. The
-// registry is the only tally of these facts; Status reads them back.
+// registry is the only tally of these facts; Status serves its counters.
 type fleetMetrics struct {
 	granted, expired, regranted   *obs.Counter
 	heartbeats, heartbeatsStale   *obs.Counter

@@ -154,7 +154,7 @@ func TestLeaseExpiryAndRegrant(t *testing.T) {
 		t.Fatalf("re-grant fence %d not above expired fence %d", regrant.Fence, g1.Fence)
 	}
 	st := c.Status()
-	if st.Counters.LeaseExpiries != 1 || st.Counters.LeaseRegrants != 1 {
+	if st.Counters["fleet_lease_expiries_total"] != 1 || st.Counters["fleet_lease_regrants_total"] != 1 {
 		t.Fatalf("counters = %+v, want 1 expiry and 1 regrant", st.Counters)
 	}
 	// The expired worker's heartbeat and completion are both fenced off.
@@ -164,7 +164,7 @@ func TestLeaseExpiryAndRegrant(t *testing.T) {
 	if err := c.Complete("w1", g1.Shard, g1.Fence, grantJournal(t, g1), nil); !errors.Is(err, ErrFenced) {
 		t.Fatalf("zombie completion: %v, want ErrFenced", err)
 	}
-	if st := c.Status(); st.Counters.CompletionsStale != 1 || st.Done != 0 {
+	if st := c.Status(); st.Counters["fleet_completions_stale_total"] != 1 || st.Done != 0 {
 		t.Fatalf("status after zombie upload = %+v, want it rejected", st)
 	}
 }
@@ -185,7 +185,7 @@ func TestCompleteIdempotentAndExpiredButUnregrantedAccepted(t *testing.T) {
 	if err := c.Complete("w1", g.Shard, g.Fence, data, nil); err != nil {
 		t.Fatalf("idempotent re-upload rejected: %v", err)
 	}
-	if st := c.Status(); st.Done != 1 || st.Counters.Completions != 1 {
+	if st := c.Status(); st.Done != 1 || st.Counters["fleet_completions_total"] != 1 {
 		t.Fatalf("status = %+v, want exactly one completion", st)
 	}
 }
@@ -211,7 +211,7 @@ func TestCompleteRejectsBadJournals(t *testing.T) {
 	if !errors.As(err, &inv) || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("short upload: %v, want a header mismatch rejection", err)
 	}
-	if st := c.Status(); st.Counters.CompletionsInvalid != 2 || st.Done != 0 {
+	if st := c.Status(); st.Counters["fleet_completions_invalid_total"] != 2 || st.Done != 0 {
 		t.Fatalf("status = %+v, want 2 invalid completions and none accepted", st)
 	}
 }
@@ -259,7 +259,7 @@ func TestMergeOnCompletion(t *testing.T) {
 	if len(rec.ByIndex) != len(pts) || rec.Torn || rec.Corrupt {
 		t.Fatalf("merged journal covers %d/%d points (torn=%v corrupt=%v)", len(rec.ByIndex), len(pts), rec.Torn, rec.Corrupt)
 	}
-	if st := c.Status(); !st.Merged || st.Counters.Merges != 1 {
+	if st := c.Status(); !st.Merged || st.Counters["fleet_merges_total"] != 1 {
 		t.Fatalf("status = %+v, want merged once", st)
 	}
 }
@@ -317,7 +317,7 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	// Third life: the merged verdict is re-verified, not re-done.
 	c2.Close()
 	c3 := newTestCoordinator(t, dir, clock, pts, 3)
-	if st := c3.Status(); !st.Merged || st.Counters.Merges != 0 {
+	if st := c3.Status(); !st.Merged || st.Counters["fleet_merges_total"] != 0 {
 		t.Fatalf("third-life status = %+v, want merged without a re-merge", st)
 	}
 	if _, status, err := c3.Lease("w4"); err != nil || status != "done" {

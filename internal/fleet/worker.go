@@ -133,7 +133,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if heartbeat <= 0 {
 		heartbeat = time.Second
 	}
-	sampler := newTelemetrySampler(w.Obs)
 	w.Events.Event(obs.LevelInfo, "worker.join",
 		fmt.Sprintf("joined fleet (campaign trace %s)", spec.TraceID),
 		"worker", w.Client.Worker, "trace_id", spec.TraceID)
@@ -171,7 +170,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		case "lease":
-			if err := w.runShard(ctx, resp.Grant, heartbeat, bo, met, sampler); err != nil {
+			if err := w.runShard(ctx, resp.Grant, heartbeat, bo, met); err != nil {
 				return err
 			}
 		default:
@@ -183,7 +182,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // runShard executes one granted shard under a heartbeat and uploads the
 // result. A lost lease (fenced heartbeat or completion) abandons the shard
 // and returns nil — the lease loop moves on.
-func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.Duration, bo Backoff, met workerMetrics, sampler *telemetrySampler) error {
+func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.Duration, bo Backoff, met workerMetrics) error {
 	met.busy.Set(1)
 	defer met.busy.Set(0)
 	w.logf("fleet: running shard %d [%d,%d) under fence %d", grant.Shard, grant.Lo, grant.Hi, grant.Fence)
@@ -212,7 +211,7 @@ func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.
 			case <-hbCtx.Done():
 				return
 			case <-t.C:
-				err := w.Client.Heartbeat(hbCtx, grant.Shard, grant.Fence, sampler.sample(obsv.Done()))
+				err := w.Client.Heartbeat(hbCtx, grant.Shard, grant.Fence, sampleTelemetry(w.Obs, obsv.Done()))
 				if errors.Is(err, ErrFenced) {
 					fenced.Store(true)
 					cancelShard()

@@ -157,10 +157,22 @@ func trimFloat(f float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.6f", f), "0"), ".")
 }
 
-// jsonHistogram is the JSON shape of one histogram. P50/P95/P99 are the
-// bucket-interpolated quantile estimates (Histogram.Quantile), zero when
-// the histogram is empty.
-type jsonHistogram struct {
+// Stats is the one stats document of a registry: the -stats-json dump,
+// the campaign slice a fleet worker's heartbeat carries, and the counter
+// map the coordinator's /status serves. Metric keys are name{k=v,...}
+// (labels in registration order), as Counter and friends were called.
+type Stats struct {
+	UptimeSeconds float64                   `json:"uptime_seconds"`
+	Counters      map[string]int64          `json:"counters"`
+	Gauges        map[string]int64          `json:"gauges"`
+	Histograms    map[string]StatsHistogram `json:"histograms"`
+	Spans         map[string]StatsSpan      `json:"spans"`
+}
+
+// StatsHistogram is one histogram of a Stats document. P50/P95/P99 are
+// the bucket-interpolated quantile estimates (Histogram.Quantile), zero
+// when the histogram is empty.
+type StatsHistogram struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"`
 	Count  int64     `json:"count"`
@@ -170,35 +182,25 @@ type jsonHistogram struct {
 	P99    float64   `json:"p99"`
 }
 
-// jsonSpan is the JSON shape of one span path.
-type jsonSpan struct {
+// StatsSpan is one span path of a Stats document.
+type StatsSpan struct {
 	Runs    int64   `json:"runs"`
 	Seconds float64 `json:"seconds"`
 }
 
-// jsonStats is the -stats-json document.
-type jsonStats struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Counters      map[string]int64         `json:"counters"`
-	Gauges        map[string]int64         `json:"gauges"`
-	Histograms    map[string]jsonHistogram `json:"histograms"`
-	Spans         map[string]jsonSpan      `json:"spans"`
-}
-
-// WriteJSON emits every metric of the registry as one JSON document
-// (the -stats-json end-of-run dump). A nil registry writes "{}".
-func WriteJSON(w io.Writer, r *Registry) error {
+// Stats snapshots every metric and span of the registry (nil on a nil
+// registry).
+func (r *Registry) Stats() *Stats {
 	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
+		return nil
 	}
 	s := r.snap()
-	doc := jsonStats{
+	doc := &Stats{
 		UptimeSeconds: s.uptime,
-		Counters:      map[string]int64{},
-		Gauges:        map[string]int64{},
-		Histograms:    map[string]jsonHistogram{},
-		Spans:         map[string]jsonSpan{},
+		Counters:      make(map[string]int64, len(s.counters)),
+		Gauges:        make(map[string]int64, len(s.gauges)),
+		Histograms:    make(map[string]StatsHistogram, len(s.histograms)),
+		Spans:         make(map[string]StatsSpan, len(s.spans)),
 	}
 	for _, c := range s.counters {
 		doc.Counters[c.id.String()] = c.v
@@ -207,15 +209,61 @@ func WriteJSON(w io.Writer, r *Registry) error {
 		doc.Gauges[g.id.String()] = g.v
 	}
 	for _, h := range s.histograms {
-		doc.Histograms[h.id.String()] = jsonHistogram{
+		doc.Histograms[h.id.String()] = StatsHistogram{
 			Bounds: h.bounds, Counts: h.counts, Count: h.count, Sum: h.sum,
 			P50: h.p50, P95: h.p95, P99: h.p99,
 		}
 	}
 	for _, sp := range s.spans {
-		doc.Spans[sp.path] = jsonSpan{Runs: sp.count, Seconds: sp.seconds}
+		doc.Spans[sp.path] = StatsSpan{Runs: sp.count, Seconds: sp.seconds}
+	}
+	return doc
+}
+
+// AddCounter adds n to the counter a Stats document lists under key
+// (name or name{k=v,...}), creating it on first use. No-op on a nil
+// registry.
+func (r *Registry) AddCounter(key string, n int64) {
+	if r == nil {
+		return
+	}
+	id := metricID{name: key}
+	if i := strings.IndexByte(key, '{'); i >= 0 && strings.HasSuffix(key, "}") {
+		id = metricID{name: key[:i], labels: key[i+1 : len(key)-1]}
+	}
+	r.counter(id).Add(n)
+}
+
+// LabeledCounters collects the counters of one labeled metric family:
+// keys like `name{label=value}` are returned as value → count, sorted
+// iteration left to the caller. An unlabeled counter named exactly name is
+// ignored — it is the family total, not a member.
+func (s *Stats) LabeledCounters(name, label string) map[string]int64 {
+	if s == nil {
+		return nil
+	}
+	prefix := name + "{" + label + "="
+	var out map[string]int64
+	for key, v := range s.Counters {
+		if !strings.HasPrefix(key, prefix) || !strings.HasSuffix(key, "}") {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]int64)
+		}
+		out[strings.TrimSuffix(strings.TrimPrefix(key, prefix), "}")] = v
+	}
+	return out
+}
+
+// WriteJSON emits the registry's Stats document (the -stats-json
+// end-of-run dump). A nil registry writes "{}".
+func WriteJSON(w io.Writer, r *Registry) error {
+	if r == nil {
+		_, err := io.WriteString(w, "{}\n")
+		return err
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(r.Stats())
 }

@@ -288,7 +288,10 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	id := makeID(name, labels)
+	return r.counter(makeID(name, labels))
+}
+
+func (r *Registry) counter(id metricID) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[id]

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -174,16 +175,7 @@ func TestJSONExport(t *testing.T) {
 	if err := WriteJSON(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Counters   map[string]int64 `json:"counters"`
-		Gauges     map[string]int64 `json:"gauges"`
-		Histograms map[string]struct {
-			Count int64 `json:"count"`
-		} `json:"histograms"`
-		Spans map[string]struct {
-			Runs int64 `json:"runs"`
-		} `json:"spans"`
-	}
+	var doc Stats
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
@@ -198,6 +190,56 @@ func TestJSONExport(t *testing.T) {
 	}
 	if doc.Spans["search"].Runs != 1 {
 		t.Fatalf("spans = %v", doc.Spans)
+	}
+}
+
+// TestStatsRoundTrip: the -stats-json dump decodes into exactly the
+// document Stats returns — labeled counter keys, gauges, histogram
+// buckets, sum and quantiles, and spans — so every reader of a dump sees
+// what the registry held.
+func TestStatsRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("campaign_held_total").Add(7)
+	r.Counter("campaign_mate_pruned_total", "mate", "3", "width", "2").Add(11)
+	r.Gauge("campaign_lanes").Set(256)
+	h := r.Histogram("campaign_batch_seconds", ExpBuckets(1e-4, 2, 16))
+	for _, v := range []float64{0.0003, 0.002, 0.002, 0.05, 9} {
+		h.Observe(v)
+	}
+	r.Histogram("empty", nil)
+	sp := r.StartSpan("campaign")
+	sp.Start("batch").End()
+	sp.End()
+
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	var got Stats
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	want := r.Stats()
+	if got.UptimeSeconds <= 0 || got.UptimeSeconds > want.UptimeSeconds {
+		t.Fatalf("uptime %v, want in (0, %v]", got.UptimeSeconds, want.UptimeSeconds)
+	}
+	got.UptimeSeconds, want.UptimeSeconds = 0, 0
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("decoded dump differs from Stats():\n got %+v\nwant %+v", got, *want)
+	}
+	if got.Counters["campaign_mate_pruned_total{mate=3,width=2}"] != 11 ||
+		got.Histograms["campaign_batch_seconds"].P99 == 0 || got.Spans["campaign/batch"].Runs != 1 {
+		t.Fatalf("document misses a metric: %+v", got)
+	}
+
+	// AddCounter reaches the counter its document key names.
+	r.AddCounter("campaign_mate_pruned_total{mate=3,width=2}", 4)
+	r.AddCounter("campaign_held_total", 1)
+	if n := r.Counter("campaign_mate_pruned_total", "mate", "3", "width", "2").Value(); n != 15 {
+		t.Fatalf("labeled AddCounter: %d, want 15", n)
+	}
+	if n := r.Counter("campaign_held_total").Value(); n != 8 {
+		t.Fatalf("AddCounter: %d, want 8", n)
 	}
 }
 

@@ -7,16 +7,18 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
 // Document is the single-campaign report: everything the text, JSON and CSV
 // renderers draw from.
 type Document struct {
-	Path    string    `json:"journal"`
-	Summary Summary   `json:"summary"`
-	MATEs   []MATERow `json:"mates"`
-	Heatmap *Heatmap  `json:"heatmap,omitempty"`
-	Stats   *Stats    `json:"stats,omitempty"`
+	Path    string     `json:"journal"`
+	Summary Summary    `json:"summary"`
+	MATEs   []MATERow  `json:"mates"`
+	Heatmap *Heatmap   `json:"heatmap,omitempty"`
+	Stats   *obs.Stats `json:"stats,omitempty"`
 }
 
 // BuildDocument assembles the report of one campaign. bins parameterises
@@ -103,6 +105,9 @@ func (d *Document) WriteText(w io.Writer) error {
 				fmt.Fprintf(w, ", %d simulation cycles saved", s)
 			}
 			fmt.Fprintln(w)
+		}
+		if n := st.Counters["campaign_held_total"]; n > 0 {
+			fmt.Fprintf(w, "held:       %d experiments retired at once, golden but for one flip-flop held to the halt\n", n)
 		}
 		// Older dumps (pre-wide engines) carry no lane gauge and print nothing.
 		if lanes := st.Gauges["campaign_lanes"]; lanes > 0 {

@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/journal"
+	"repro/internal/obs"
 )
 
 // outcomeNames mirrors the hafi outcome codes journal records carry
@@ -57,57 +57,12 @@ func Verdict(rec journal.Record) string {
 	return OutcomeName(rec.Outcome)
 }
 
-// Stats is the parsed shape of an obs -stats-json dump (see obs.WriteJSON).
-type Stats struct {
-	UptimeSeconds float64              `json:"uptime_seconds"`
-	Counters      map[string]int64     `json:"counters"`
-	Gauges        map[string]int64     `json:"gauges"`
-	Histograms    map[string]Histogram `json:"histograms"`
-	Spans         map[string]struct {
-		Runs    int64   `json:"runs"`
-		Seconds float64 `json:"seconds"`
-	} `json:"spans"`
-}
-
-// Histogram is the parsed shape of one obs histogram in a -stats-json dump:
-// total count/sum plus the bucket-interpolated p50/p95/p99 estimates the
-// exporter computed at dump time.
-type Histogram struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// LabeledCounters collects the counters of one labeled metric family:
-// keys like `name{label=value}` are returned as value → count, sorted
-// iteration left to the caller. An unlabeled counter named exactly name is
-// ignored — it is the family total, not a member.
-func (s *Stats) LabeledCounters(name, label string) map[string]int64 {
-	if s == nil {
-		return nil
-	}
-	prefix := name + "{" + label + "="
-	var out map[string]int64
-	for key, v := range s.Counters {
-		if !strings.HasPrefix(key, prefix) || !strings.HasSuffix(key, "}") {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]int64)
-		}
-		out[strings.TrimSuffix(strings.TrimPrefix(key, prefix), "}")] = v
-	}
-	return out
-}
-
 // Campaign is one recovered campaign journal, optionally enriched with the
 // run's -stats-json dump.
 type Campaign struct {
 	Path  string
 	Rec   *journal.Recovered
-	Stats *Stats
+	Stats *obs.Stats
 }
 
 // Load recovers the journal at journalPath; statsPath, when non-empty,
@@ -126,7 +81,7 @@ func Load(journalPath, statsPath string) (*Campaign, error) {
 		if err != nil {
 			return nil, fmt.Errorf("report: %w", err)
 		}
-		c.Stats = &Stats{}
+		c.Stats = &obs.Stats{}
 		if err := json.Unmarshal(data, c.Stats); err != nil {
 			return nil, fmt.Errorf("report: %s: %w", statsPath, err)
 		}

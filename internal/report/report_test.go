@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/obs"
 )
 
 var testHeader = journal.Header{GoldenSignature: 0xfeed, NumPoints: 40, FaultListHash: 0xbeef}
@@ -388,5 +389,36 @@ func TestLoadStats(t *testing.T) {
 	}
 	if !strings.Contains(text.String(), "campaign span 1.2s") || !strings.Contains(text.String(), "7 batches") {
 		t.Fatalf("stats enrichment missing:\n%s", text.String())
+	}
+}
+
+// TestLoadReadsObsDump: Load decodes a dump the obs exporter wrote into
+// the very document the registry reports.
+func TestLoadReadsObsDump(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("campaign_held_total").Add(3)
+	reg.Counter("fleet_worker_points_total", "worker", "w1").Add(40)
+	reg.Gauge("campaign_lanes").Set(64)
+	reg.Histogram("campaign_batch_seconds", obs.ExpBuckets(1e-4, 2, 16)).Observe(0.01)
+	reg.StartSpan("campaign").End()
+	statsPath := filepath.Join(t.TempDir(), "run.stats")
+	f, err := os.Create(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSON(f, reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(buildJournal(t, testHeader, basePoints()), statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reg.Stats()
+	c.Stats.UptimeSeconds, want.UptimeSeconds = 0, 0
+	if !reflect.DeepEqual(c.Stats, want) {
+		t.Fatalf("loaded stats differ from the registry's:\n got %+v\nwant %+v", *c.Stats, *want)
 	}
 }

@@ -154,4 +154,18 @@ func TestStatsWideEngineRendering(t *testing.T) {
 	if strings.Contains(out, "simulation:") {
 		t.Fatalf("gauge-less stats rendered a simulation line:\n%s", out)
 	}
+	if strings.Contains(out, "held:") {
+		t.Fatalf("stats without held retirements rendered a held line:\n%s", out)
+	}
+	// Held retirements render beside the convergence line.
+	out = render("held.stats", `{"uptime_seconds": 2.0, "counters": {
+	  "campaign_converged_total": 5, "campaign_cycles_saved_total": 40, "campaign_held_total": 3}}`)
+	for _, want := range []string{
+		"convergence: 5 experiments retired early, 40 simulation cycles saved\n",
+		"held:       3 experiments retired at once, golden but for one flip-flop held to the halt\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("stats rendering missing %q:\n%s", want, out)
+		}
+	}
 }

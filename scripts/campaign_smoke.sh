@@ -324,6 +324,13 @@ grep -q 'classified' "$tmp/report.out" || {
 }
 "$tmp/campaignreport" -format json "$tmp/pruned-clean.journal" > /dev/null
 "$tmp/campaignreport" -format csv "$tmp/pruned-clean.journal" > /dev/null
+# The held-rule run's -stats-json dump: the report shows the same held count.
+"$tmp/campaignreport" -stats-json "$tmp/held-stats.json" "$tmp/held.journal" > "$tmp/held-report.out"
+if [ "$(sed -n 's/^held: *\([0-9][0-9]*\).*/\1/p' "$tmp/held-report.out")" != "$held" ]; then
+    echo "FAIL: campaignreport -stats-json does not show the run's held $held" >&2
+    cat "$tmp/held-report.out" >&2
+    exit 1
+fi
 
 # Crash+resume must be point-for-point no worse than the clean run.
 "$tmp/campaignreport" -diff "$tmp/pruned-clean.journal" "$tmp/pruned-crash.journal" \

@@ -14,7 +14,9 @@
 # with -trace and -log-json, one worker is throttled so the coordinator
 # must flag it as a straggler, /status is scraped mid-run (per-worker
 # throughput, ETA, anomaly feed), and the stitched Perfetto trace is
-# validated with campaignreport -check-trace after the merge. Fleet lane
+# validated with campaignreport -check-trace after the merge; the
+# coordinator's -stats-json dump must show the fleet's convergence and
+# held retirements, folded from heartbeat telemetry. Fleet lane
 # occupancy is a fraction of each worker's device lanes: once non-zero it
 # must stay at or below 1. The other
 # workers are throttled five times less (1 ms per point): on a fast machine
@@ -45,6 +47,7 @@ echo "== coordinator (8 shards, 2s lease TTL)"
 "$tmp/campaignd" "${args[@]}" -shards 8 -lease-ttl 2s -heartbeat 400ms \
     -addr 127.0.0.1:0 -dir "$tmp/fleet" \
     -trace "$tmp/fleet.trace" -log-json "$tmp/campaignd.events" \
+    -stats-json "$tmp/campaignd.stats" \
     > "$tmp/campaignd.out" 2> "$tmp/campaignd.err" &
 dpid=$!
 pids+=("$dpid")
@@ -206,5 +209,20 @@ grep -q '^regressions: none' "$tmp/diff.out" || {
     cat "$tmp/diff.out" >&2
     exit 1
 }
+
+echo "== the coordinator's -stats-json carries the folded campaign counters"
+"$tmp/campaignreport" -stats-json "$tmp/campaignd.stats" "$merged" > "$tmp/fleet-report.out"
+grep -Eq '^convergence: [1-9][0-9]* experiments retired early' "$tmp/fleet-report.out" || {
+    echo "FAIL: campaignreport shows no convergence line for the coordinator's dump" >&2
+    cat "$tmp/fleet-report.out" >&2
+    exit 1
+}
+held=$(sed -n 's/^held: *\([0-9][0-9]*\).*/\1/p' "$tmp/fleet-report.out")
+if [ "${held:-0}" -le 0 ]; then
+    echo "FAIL: campaignreport shows no held retirement for the coordinator's dump" >&2
+    cat "$tmp/fleet-report.out" >&2
+    exit 1
+fi
+grep -E '^(convergence|held):' "$tmp/fleet-report.out"
 
 echo "fleet-smoke: OK"
