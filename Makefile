@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: check build loc vet no-unsafe test race lint-examples campaign-smoke fleet-smoke bench-smoke bench-snapshot bench-compare fuzz-smoke cover
+.PHONY: check fmt build loc vet no-unsafe test race lint-examples campaign-smoke fleet-smoke bench-smoke bench-snapshot bench-compare fuzz-smoke cover
 
 # The CI gate: everything a PR must pass.
-check: vet no-unsafe build test race lint-examples campaign-smoke fleet-smoke bench-smoke
+check: fmt vet no-unsafe build test race lint-examples campaign-smoke fleet-smoke bench-smoke
 
 build:
 	$(GO) build ./...
+
+# Every Go file is gofmt-clean: the gate fails when gofmt -l lists any.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt: not gofmt-clean:" >&2; echo "$$out" >&2; exit 1; fi
 
 # Non-test Go lines per package: the figure ROADMAP's collapse item and its
 # acceptance criteria quote. Informational, no gate.

@@ -202,7 +202,7 @@ func main() {
 	fmt.Printf("fleet:      %d leases granted, %d expired, %d re-leased, %d stale completions fenced off\n",
 		st.Counters["fleet_leases_granted_total"], st.Counters["fleet_lease_expiries_total"],
 		st.Counters["fleet_lease_regrants_total"], st.Counters["fleet_completions_stale_total"])
-	fmt.Printf("retired:    %d converged, %d held (heartbeat-sampled: work after a worker's last heartbeat is missing, re-run shards count again)\n",
+	fmt.Printf("retired:    %d converged, %d held (heartbeat-sampled: a killed worker's work since its last heartbeat is missing, re-run shards count again)\n",
 		st.Counters["campaign_converged_total"], st.Counters["campaign_held_total"])
 }
 

@@ -55,7 +55,7 @@ func TestBackoffRetryDeterministic(t *testing.T) {
 	// without a single real timer.
 	var slept []time.Duration
 	b := Backoff{
-		Base: 10 * time.Millisecond,
+		Base:  10 * time.Millisecond,
 		Rand:  func() float64 { return 0.5 }, // midpoint: jitter is identity
 		Sleep: func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	}

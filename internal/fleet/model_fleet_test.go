@@ -11,6 +11,7 @@ import (
 	"repro/internal/cpu/avr"
 	"repro/internal/hafi"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -156,5 +157,79 @@ func TestFleetModelCampaign(t *testing.T) {
 	}
 	if d.Regressions() != 0 || d.Agree != len(points) {
 		t.Fatalf("merged campaign diverges from single-process reference: %+v", d)
+	}
+}
+
+// TestFleetFoldsEveryShardsLastStretch: a failure-free fleet folds exactly
+// the retirement and progress counters a single process counts for the
+// same list. The heartbeat interval is longer than any shard, so no
+// ticker heartbeat fires: every count arrives through the heartbeats a
+// worker with a registry sends when it takes a lease (the baseline) and
+// before it uploads (the shard's work).
+func TestFleetFoldsEveryShardsLastStretch(t *testing.T) {
+	tg, err := hafi.NewTarget("avr", "fib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := tg.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := hafi.SampledFaultList(tg.NL, golden.HaltCycle, 400)
+	pool := func() []hafi.RunW {
+		runs, err := tg.Pool(hafi.DefaultCampaignLanes, 1, len(points))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runs
+	}
+	names := []string{"campaign_held_total", "campaign_converged_total", "campaign_points_done_total"}
+
+	ref := obs.NewRegistry()
+	if _, err := hafi.NewController(tg.NewRun(), golden).RunCampaignBatchedPoolWithW(
+		hafi.CampaignConfig{Points: points, Obs: ref}, pool()); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Stats().Counters
+	if want["campaign_held_total"] == 0 || want["campaign_converged_total"] == 0 {
+		t.Fatalf("the list retires nothing early: %v", want)
+	}
+
+	coord, err := NewCoordinator(points, golden.Signature, Options{
+		Shards: 6, LeaseTTL: 4 * time.Minute, Heartbeat: time.Minute,
+		Dir:  t.TempDir(),
+		Spec: Spec{CPU: "avr", Prog: "fib", Stride: 400},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ts := httptest.NewServer(NewHandler(coord, nil))
+	defer ts.Close()
+
+	errs := make(chan error, 2)
+	for _, name := range []string{"w1", "w2"} {
+		reg := obs.NewRegistry()
+		w := &Worker{
+			Client: &Client{BaseURL: ts.URL, Worker: name},
+			Runner: &CampaignRunner{Ctl: hafi.NewController(tg.NewRun(), golden), Points: points, RunsW: pool(), Obs: reg},
+			Dir:    t.TempDir(), PollInterval: 20 * time.Millisecond, Obs: reg, Logf: t.Logf,
+		}
+		go func() { errs <- w.Run(context.Background()) }()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+	}
+	st := coord.Status()
+	if !st.Merged {
+		t.Fatalf("campaign not merged: %+v", st)
+	}
+	for _, name := range names {
+		if st.Counters[name] != want[name] {
+			t.Errorf("%s: fleet folded %d, the single process counted %d", name, st.Counters[name], want[name])
+		}
 	}
 }

@@ -198,28 +198,36 @@ func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.
 	// TTL spans several intervals, so one missed renewal is survivable.
 	shardCtx, cancelShard := context.WithCancel(ctx)
 	defer cancelShard()
+	var fenced atomic.Bool
+	beat := func(ctx context.Context) {
+		err := w.Client.Heartbeat(ctx, grant.Shard, grant.Fence, sampleTelemetry(w.Obs, obsv.Done()))
+		if errors.Is(err, ErrFenced) {
+			fenced.Store(true)
+			cancelShard()
+		} else if err != nil && ctx.Err() == nil {
+			w.logf("fleet: heartbeat for shard %d failed (lease TTL absorbs it): %v", grant.Shard, err)
+		}
+	}
+	// With a registry the lease also opens and closes with a heartbeat: the
+	// coordinator differences each document against the worker's previous
+	// one, so the first sets the baseline and the last carries the work
+	// since the final tick. Without a registry there is nothing to fold.
+	if w.Obs != nil {
+		beat(ctx)
+	}
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
-	var fenced atomic.Bool
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
 		t := time.NewTicker(heartbeat)
 		defer t.Stop()
-		for {
+		for !fenced.Load() {
 			select {
 			case <-hbCtx.Done():
 				return
 			case <-t.C:
-				err := w.Client.Heartbeat(hbCtx, grant.Shard, grant.Fence, sampleTelemetry(w.Obs, obsv.Done()))
-				if errors.Is(err, ErrFenced) {
-					fenced.Store(true)
-					cancelShard()
-					return
-				}
-				if err != nil && hbCtx.Err() == nil {
-					w.logf("fleet: heartbeat for shard %d failed (lease TTL absorbs it): %v", grant.Shard, err)
-				}
+				beat(hbCtx)
 			}
 		}
 	}()
@@ -227,6 +235,9 @@ func (w *Worker) runShard(ctx context.Context, grant LeaseGrant, heartbeat time.
 	runErr := w.Runner.RunShard(shardCtx, grant.Lo, grant.Hi, path, obsv)
 	stopHB()
 	<-hbDone
+	if w.Obs != nil && runErr == nil && !fenced.Load() {
+		beat(ctx)
+	}
 
 	if fenced.Load() {
 		met.lost.Inc()

@@ -87,8 +87,8 @@ func (c *Controller) RunCampaignBatchedPoolWithW(cfg CampaignConfig, runs []RunW
 }
 
 // checkPool refuses a pool the scheduler could only turn into harness
-// errors: every device must simulate a netlist of the controller's shape
-// and take the golden run's checkpoints.
+// errors: every device must expose its write digests, simulate a netlist
+// of the controller's shape and take the golden run's checkpoints.
 func (c *Controller) checkPool(runs []RunW) error {
 	if len(runs) == 0 {
 		return fmt.Errorf("hafi: pool campaign needs at least one device instance")
@@ -96,6 +96,9 @@ func (c *Controller) checkPool(runs []RunW) error {
 	for i, r := range runs {
 		if r == nil {
 			return fmt.Errorf("hafi: pool device %d is nil", i)
+		}
+		if _, err := laneDigests(r); err != nil {
+			return fmt.Errorf("hafi: pool device %d: %v", i, err)
 		}
 		if nl := r.MachW().NL; nl.NumWires() != c.nl.NumWires() || len(nl.FFs) != len(c.nl.FFs) {
 			return fmt.Errorf("hafi: pool device %d simulates %d wires and %d flip-flops, the controller's netlist has %d and %d",

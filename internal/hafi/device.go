@@ -81,6 +81,19 @@ type SuspendRunW interface {
 	ImportLane(lane int, state interface{})
 }
 
+// laneDigests returns a device's per-lane write digests, the slice the
+// scheduler's retirement filter reads a lane group of at a time: the
+// Digest of the *sim.LaneMemory its EnvW returns. A device without one
+// cannot run a campaign.
+func laneDigests(r RunW) ([]uint64, error) {
+	if e, ok := r.(interface{ EnvW() sim.EnvW }); ok {
+		if mem, ok := e.EnvW().(*sim.LaneMemory); ok {
+			return mem.Digest, nil
+		}
+	}
+	return nil, fmt.Errorf("%T exposes no lane write digests (no EnvW capability returning a *sim.LaneMemory)", r)
+}
+
 // ramCells is the data-memory size of the built-in cores (both 256 cells).
 const ramCells = 1 << avr.DMemBits
 
@@ -138,7 +151,11 @@ func newWideRun[T ~uint8 | ~uint16](nl *netlist.Netlist, ports sim.MemoryPorts, 
 	if err != nil {
 		return nil, err
 	}
-	return &wideRun[T]{m: m, mem: sim.NewLaneMemory(m, ports, prog), halted: halted, port: port}, nil
+	mem, err := sim.NewLaneMemory(m, ports, prog)
+	if err != nil {
+		return nil, err
+	}
+	return &wideRun[T]{m: m, mem: mem, halted: halted, port: port}, nil
 }
 
 // NewAVRRunW creates a wide batched run for the AVR-class core with the

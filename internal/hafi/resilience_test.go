@@ -15,6 +15,7 @@ import (
 	"repro/internal/cpu/avr"
 	"repro/internal/cpu/msp430"
 	"repro/internal/journal"
+	"repro/internal/sim"
 )
 
 // --- configuration validation -------------------------------------------
@@ -431,6 +432,8 @@ type panicRunW struct {
 	tripFF int
 }
 
+func (p *panicRunW) EnvW() sim.EnvW { return p.RunW.(GoldenRunW).EnvW() }
+
 func (p *panicRunW) FlipLane(ff, lane int) {
 	if ff == p.tripFF {
 		panic("injected lane fault")
@@ -486,6 +489,8 @@ func TestPanicIsolationBatched(t *testing.T) {
 // whose netlist happens to have the controller's shape.
 type refusingRunW struct{ RunW }
 
+func (r refusingRunW) EnvW() sim.EnvW { return r.RunW.(GoldenRunW).EnvW() }
+
 func (refusingRunW) LoadCheckpoint(cp Checkpoint) {
 	panic(fmt.Sprintf("checkpoint type %T is not mine", cp))
 }
@@ -515,6 +520,7 @@ func TestPoolRefusesForeignDevice(t *testing.T) {
 		{"other target", []RunW{foreign}, "device 0"},
 		{"other target behind a good device", []RunW{own, foreign}, "device 1"},
 		{"refuses the checkpoint", []RunW{own, refusingRunW{own}}, "device 1"},
+		{"hides its write digests", []RunW{own, struct{ RunW }{own}}, "device 1: struct { hafi.RunW } exposes no lane write digests (no EnvW"},
 		{"nil device", []RunW{own, nil}, "device 1"},
 		{"empty pool", nil, "at least one device"},
 	} {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cpu/msp430"
 	"repro/internal/journal"
 	"repro/internal/progs"
+	"repro/internal/sim"
 )
 
 // TestCancelAtHalfStopsEarly: a cancellation from Progress once half the
@@ -121,10 +122,13 @@ func TestCancelAtHalfStopsEarly(t *testing.T) {
 	}
 }
 
-// bareRunW hides every optional capability of the device it wraps: the
-// engine sees a RunW and nothing else (no ImportLane, no CompactLanes), so
-// it can refill golden lanes only and starts a sweep only without tails.
+// bareRunW hides every optional capability of the device it wraps but the
+// write digests every campaign device exposes: the engine sees a RunW and
+// its EnvW and nothing else (no ImportLane, no CompactLanes), so it can
+// refill golden lanes only and starts a sweep only without tails.
 type bareRunW struct{ RunW }
+
+func (b bareRunW) EnvW() sim.EnvW { return b.RunW.(GoldenRunW).EnvW() }
 
 // TestSchedulerGoldenLanesOnlyDevice: a capability-less device must journal
 // the same bytes as the full one and the same verdicts as the scalar engine.
@@ -170,6 +174,7 @@ func TestSchedulerGoldenLanesOnlyDevice(t *testing.T) {
 type fullDevice interface {
 	CompactRunW
 	SuspendRunW
+	GoldenRunW
 }
 
 // trippedRun panics on behalf of one flip-flop: in FlipLane itself, or (in

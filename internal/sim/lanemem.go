@@ -283,17 +283,21 @@ type LaneMemory struct {
 	addr, data []uint16 // lane-major scratch of the dense fetch
 }
 
-// NewLaneMemory builds the environment for machine m and declares its
-// write set, so Settle's second pass is restricted to the cone of the two
-// read buses.
-func NewLaneMemory(m *MachineW, p MemoryPorts, rom []uint16) *LaneMemory {
+// NewLaneMemory builds the environment for machine m and declares what it
+// reads and writes, so Settle evaluates each gate once (SetEnvWrites). A
+// core whose fetch address, data address, write enable or write data
+// depends on the fetched or read data is refused.
+func NewLaneMemory(m *MachineW, p MemoryPorts, rom []uint16) (*LaneMemory, error) {
+	reads := append(append(append([]netlist.WireID{p.WE}, p.FetchAddr...), p.Addr...), p.WData...)
+	if err := m.SetEnvWrites(reads, p.FetchData, p.RData); err != nil {
+		return nil, err
+	}
 	e := &LaneMemory{MemoryPorts: p, ROM: rom, RAM: NewLaneRAM(len(p.Addr), len(p.RData), m.W),
 		Digest: make([]uint64, m.NumLanes()), addr: make([]uint16, m.NumLanes()), data: make([]uint16, m.NumLanes())}
 	for l := range e.Digest {
 		e.Digest[l] = WriteDigestSeed
 	}
-	m.SetEnvWrites(p.FetchData, p.RData)
-	return e
+	return e, nil
 }
 
 // SetInputsW implements EnvW. A fetch scattered over more PCs than

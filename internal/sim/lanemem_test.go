@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/netlist"
 )
 
@@ -36,7 +39,11 @@ func newRAMFixture(t testing.TB, w, dataBits int) *ramFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &ramFixture{m: m, mem: NewLaneMemory(m, p, nil), digest: make([]uint64, m.NumLanes()),
+	mem, err := NewLaneMemory(m, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &ramFixture{m: m, mem: mem, digest: make([]uint64, m.NumLanes()),
 		addr: make([]uint16, m.NumLanes()), wdata: make([]uint16, m.NumLanes()), rdata: make([]uint16, m.NumLanes())}
 	for l := range f.digest {
 		f.image = append(f.image, make([]uint16, 1<<ramAddrBits))
@@ -208,6 +215,47 @@ func TestAccessRAMMatchesPrivateMemories(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestLaneMemoryRefusesReadInCone: Settle evaluates the environment's cone
+// after the environment, so a core whose write data depends on the read
+// data would store a stale value. NewLaneMemory refuses it, naming the
+// wire, and leaves the machine unsplit; the same port with write data
+// that does not depend on the read data is accepted and split.
+func TestLaneMemoryRefusesReadInCone(t *testing.T) {
+	for _, loop := range []bool{true, false} {
+		b := netlist.NewBuilder("loop")
+		bus := func(n int) (ws []netlist.WireID) {
+			for i := 0; i < n; i++ {
+				ws = append(ws, b.Input(""))
+			}
+			return ws
+		}
+		p := MemoryPorts{Addr: bus(ramAddrBits), WE: b.Input(""), RData: bus(8)}
+		for i, r := range p.RData {
+			src := r
+			if !loop {
+				src = p.Addr[i]
+			}
+			p.WData = append(p.WData, b.GateNamed(fmt.Sprintf("wdata%d", i), cell.INV, src))
+			b.MarkOutput(p.WData[i])
+		}
+		m, err := NewMachineW(b.MustNetlist(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewLaneMemory(m, p, nil)
+		switch {
+		case loop && (err == nil || !strings.Contains(err.Error(), "wdata0")):
+			t.Fatalf("write data fed by read data: error %v, want one naming wdata0", err)
+		case loop && (m.EnvConeSize() != 0 || len(m.main.ops) != len(m.ops)):
+			t.Fatalf("a refused machine is left split: cone %d, main %d of %d gates", m.EnvConeSize(), len(m.main.ops), len(m.ops))
+		case !loop && err != nil:
+			t.Fatalf("write data fed by the address: %v", err)
+		case !loop && (m.EnvConeSize() != 0 || len(m.main.ops) != 8):
+			t.Fatalf("no gate reads the read data, yet the cone holds %d and the rest %d gates", m.EnvConeSize(), len(m.main.ops))
 		}
 	}
 }

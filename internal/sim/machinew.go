@@ -19,11 +19,12 @@ import (
 // campaign front-ends run W=4 (256 lanes) by default.
 //
 // Layout: values is wire-major with stride W — values[int(w)*W+g] is lane
-// group g (lanes 64g..64g+63) of wire w. A program (the whole netlist, and
-// the cone behind the environment's writes) holds every gate twice: as an
-// op64 whose indices are pre-scaled by W, and resolved to pointers into
-// values taken once at construction, so the unrolled kernels read
-// o.in[0][g] with no index arithmetic and no bounds check per cycle.
+// group g (lanes 64g..64g+63) of wire w. A program (the netlist outside
+// the cone behind the environment's writes, and that cone) holds each of
+// its gates twice: as an op64 whose indices are pre-scaled by W, and
+// resolved to pointers into values taken once at construction, so the
+// unrolled kernels read o.in[0][g] with no index arithmetic and no bounds
+// check per cycle.
 //
 // The kernels are unrolled per active group count (evalProgram,
 // evalProgram2/3/4) and have a case for the nine cell kinds a device
@@ -59,7 +60,8 @@ type MachineW struct {
 
 	cscratch []uint64 // CompactLanes per-wire staging, len W
 
-	main program // every gate, level-major and kind-minor
+	ops  []op64  // every gate, level-major and kind-minor
+	main program // ops outside env: every gate until SetEnvWrites splits them
 	env  program // the gates downstream of env-written wires (SetEnvWrites)
 
 	ffD, ffQ   []int32 // unscaled wire ids (golden-row lookups)
@@ -189,7 +191,7 @@ func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 			o.in[p] *= int32(w)
 		}
 	}
-	m.main = m.newProgram(ops)
+	m.ops, m.main = ops, m.newProgram(ops)
 	m.ffD = make([]int32, len(nl.FFs))
 	m.ffQ = make([]int32, len(nl.FFs))
 	m.ffDs = make([]int32, len(nl.FFs))
@@ -413,41 +415,56 @@ func (m *MachineW) LoadInputs(ins []bool) {
 	}
 }
 
-// EvalComb evaluates all gates once across the active lane groups.
-func (m *MachineW) EvalComb() { m.main.eval(m.ag) }
+// EvalComb evaluates all gates once across the active lane groups: the
+// gates outside the environment's cone, then the cone.
+func (m *MachineW) EvalComb() {
+	m.main.eval(m.ag)
+	m.env.eval(m.ag)
+}
 
 // SetEnvWrites declares the complete set of wires the lane environment may
-// drive between the two settle passes. The machine precomputes the cone of
-// gates downstream of those wires; Settle's second pass then evaluates
-// only that subprogram — every other gate's inputs are untouched by the
-// environment, so its pass-one output is already final. Calling this with
-// an incomplete wire list yields stale simulations; leave it unset to keep
-// the safe full second pass.
-func (m *MachineW) SetEnvWrites(wires ...[]netlist.WireID) {
+// drive (writes) and the wires it reads. It splits the netlist into the
+// cone of gates downstream of the written wires and the rest: Settle
+// evaluates the rest, calls the environment, then evaluates the cone, so
+// each gate once. That is exact only if the environment reads no wire of
+// the cone; if it does, SetEnvWrites returns an error naming the wire and
+// leaves the netlist unsplit, as it is when SetEnvWrites is never called
+// (Settle then runs a second full pass). An incomplete write list yields
+// stale simulations.
+func (m *MachineW) SetEnvWrites(reads []netlist.WireID, writes ...[]netlist.WireID) error {
 	// inCone is indexed by the pre-scaled wire index (wire*W), matching the
 	// op program, so the same code serves every width.
 	inCone := make([]bool, m.NL.NumWires()*m.W)
-	for _, ws := range wires {
+	for _, ws := range writes {
 		for _, w := range ws {
 			inCone[int(w)*m.W] = true
 		}
 	}
-	var cone []op64
-	for i := range m.main.ops {
-		o := &m.main.ops[i]
+	var rest, cone []op64
+	for _, o := range m.ops {
+		in := false
 		for p := 0; p < int(o.numPins); p++ {
-			if inCone[o.in[p]] {
-				inCone[o.out] = true
-				cone = append(cone, *o)
-				break
-			}
+			in = in || inCone[o.in[p]]
+		}
+		if in {
+			inCone[o.out] = true
+			cone = append(cone, o)
+		} else {
+			rest = append(rest, o)
 		}
 	}
-	m.env = m.newProgram(cone)
+	for _, w := range reads {
+		if inCone[int(w)*m.W] {
+			m.main, m.env = m.newProgram(m.ops), program{}
+			return fmt.Errorf("sim: the environment reads wire %s, which depends on a wire it drives", m.NL.WireName(w))
+		}
+	}
+	m.main, m.env = m.newProgram(rest), m.newProgram(cone)
+	return nil
 }
 
-// EnvConeSize reports how many gates the restricted second settle pass
-// evaluates (0 when SetEnvWrites was never called).
+// EnvConeSize reports how many gates Settle evaluates after the
+// environment (0 when SetEnvWrites has not split the netlist).
 func (m *MachineW) EnvConeSize() int { return len(m.env.ops) }
 
 // FallbackOps reports how many gates of the netlist are of a kind the
@@ -455,48 +472,20 @@ func (m *MachineW) EnvConeSize() int { return len(m.env.ops) }
 // 0 for every device the repository builds.
 func (m *MachineW) FallbackOps() int {
 	n := 0
-	for _, r := range m.main.runs {
-		if kernelKinds>>r.kind&1 == 0 {
-			n += int(r.end - r.start)
+	for _, p := range []*program{&m.main, &m.env} {
+		for _, r := range p.runs {
+			if kernelKinds>>r.kind&1 == 0 {
+				n += int(r.end - r.start)
+			}
 		}
 	}
 	return n
 }
 
-// DivergenceMaskG compares lane group g's stored flip-flop state against a
-// packed golden wire row (as returned by Trace.Row for the same cycle):
-// bit l of the result is set when lane 64g+l differs from the golden
-// reference in at least one flip-flop. Only the lanes in interest are
-// reported, and the scan stops as soon as every interesting lane has
-// diverged — the common case for freshly injected faults.
-func (m *MachineW) DivergenceMaskG(goldenRow []uint64, interest uint64, g int) uint64 {
-	var div uint64
-	v := m.values
-	for i, q := range m.ffQ {
-		gb := goldenRow[q>>6] >> (uint(q) & 63) & 1
-		div |= v[int(m.ffQs[i])+g] ^ -gb
-		if div&interest == interest {
-			break
-		}
-	}
-	return div & interest
-}
-
-// FFDivergedLane reports whether flip-flop ffIndex of one lane differs
-// from a packed golden wire row. It is the O(1) steady-state half of the
-// campaign engine's watched-flip-flop convergence filter: a lane whose
-// last known diverged flip-flop still differs cannot have converged, so
-// the full FirstDivergedFF scan is skipped for it.
-func (m *MachineW) FFDivergedLane(ffIndex, lane int, goldenRow []uint64) bool {
-	q := m.ffQ[ffIndex]
-	gb := goldenRow[q>>6] >> (uint(q) & 63) & 1
-	return m.values[int(m.ffQs[ffIndex])+lane>>6]>>(uint(lane)&63)&1 != gb
-}
-
 // FirstDivergedFF returns the index of the first flip-flop from index from
 // on in which one lane differs from a packed golden wire row, or -1 when
 // there is none — from 0, the convergence test, fused with finding the
-// next watched flip-flop for FFDivergedLane.
+// campaign scheduler's next watched flip-flop.
 func (m *MachineW) FirstDivergedFF(lane int, goldenRow []uint64, from int) int {
 	g, sh := lane>>6, uint(lane)&63
 	for i, q := range m.ffQ[from:] {
@@ -566,19 +555,19 @@ type EnvWFunc func(m *MachineW)
 // SetInputsW implements EnvW.
 func (f EnvWFunc) SetInputsW(m *MachineW) { f(m) }
 
-// Settle runs the two-pass evaluation with the lane environment. When
-// SetEnvWrites has declared the environment's write set, the second pass
-// evaluates only the downstream cone of those wires.
+// Settle evaluates the combinational logic around the lane environment.
+// When SetEnvWrites has split the netlist, that is the gates outside the
+// environment's cone, the environment, then the cone: each gate once.
+// Otherwise it is a full pass, the environment and a second full pass.
 func (m *MachineW) Settle(env EnvW) {
-	m.EvalComb()
+	m.main.eval(m.ag)
 	if env != nil {
 		env.SetInputsW(m)
-		if m.env.ops != nil {
-			m.env.eval(m.ag)
-		} else {
-			m.EvalComb()
+		if m.env.ops == nil {
+			m.main.eval(m.ag)
 		}
 	}
+	m.env.eval(m.ag)
 }
 
 // Step advances one clock cycle in all lanes.

@@ -68,67 +68,6 @@ func TestMachineWMatchesWidth1Random(t *testing.T) {
 	}
 }
 
-// TestDivergenceMaskGMatchesWidth1: for every width, DivergenceMaskG
-// against a golden row must equal the group-0 mask of an identically-driven
-// W=1 reference for the matching lane group, with FlipLane as the
-// divergence source.
-func TestDivergenceMaskGMatchesWidth1(t *testing.T) {
-	for _, w := range testWidths {
-		rng := rand.New(rand.NewSource(int64(77 + w)))
-		nl := randomSyncCircuit(rng)
-		if len(nl.FFs) == 0 {
-			t.Fatal("need FFs")
-		}
-		// Golden row: the settled wire values of an undisturbed scalar run.
-		golden := New(nl)
-		ins := make([]bool, len(nl.Inputs))
-		for i := range ins {
-			ins[i] = rng.Intn(2) == 0
-		}
-		golden.SetInputState(ins)
-		golden.Settle(NopEnv)
-		tr := NewTrace(nl.NumWires())
-		tr.Append(golden.Values())
-		row := tr.Row(0)
-
-		wide, err := NewMachineW(nl, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs := make([]*MachineW, w)
-		for g := range refs {
-			if refs[g], err = NewMachineW(nl, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wide.LoadInputs(ins)
-		for g := 0; g < w; g++ {
-			refs[g].LoadInputs(ins)
-		}
-		// Flip a few random (FF, lane) pairs in both machines.
-		for k := 0; k < 3*w; k++ {
-			ff := rng.Intn(len(nl.FFs))
-			lane := rng.Intn(64 * w)
-			wide.FlipLane(ff, lane)
-			refs[lane>>6].FlipLane(ff, lane&63)
-		}
-		wide.Settle(nil)
-		for g := 0; g < w; g++ {
-			refs[g].Settle(nil)
-		}
-		for _, interest := range []uint64{^uint64(0), 0xF0F0F0F0F0F0F0F0, 1, 0} {
-			for g := 0; g < w; g++ {
-				got := wide.DivergenceMaskG(row, interest, g)
-				want := refs[g].DivergenceMaskG(row, interest, 0)
-				if got != want {
-					t.Fatalf("W=%d group %d interest %016x: wide %016x, W=1 %016x",
-						w, g, interest, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestWideTransposeRoundTrip: GatherLanes/ScatterLanes across widths must
 // agree with the per-lane reference (ReadBusLane) and round-trip exactly.
 func TestWideTransposeRoundTrip(t *testing.T) {

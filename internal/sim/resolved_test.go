@@ -229,18 +229,25 @@ func TestShiftRegisterCommitsStaged(t *testing.T) {
 	}
 }
 
-// TestSetEnvWritesRebuildsResolvedCone: a second SetEnvWrites must replace
-// the resolved env cone along with the index one; Settle through the cone
-// then equals Settle with the full second pass.
+// TestSetEnvWritesRebuildsResolvedCone: a second SetEnvWrites must split
+// the whole netlist again, the resolved env cone along with the index one;
+// Settle through the split then equals Settle with the full second pass.
 func TestSetEnvWritesRebuildsResolvedCone(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	nl := randomSyncCircuit(rng)
 	for _, w := range []int{1, 2, 3, 4} {
 		m, _ := NewMachineW(nl, w)
 		full, _ := NewMachineW(nl, w)
-		m.SetEnvWrites(nl.Inputs[:1])
+		if err := m.SetEnvWrites(nil, nl.Inputs[:1]); err != nil {
+			t.Fatal(err)
+		}
 		first := m.EnvConeSize()
-		m.SetEnvWrites(nl.Inputs[1:3], nl.Inputs[4:])
+		if err := m.SetEnvWrites(nil, nl.Inputs[1:3], nl.Inputs[4:]); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(m.main.ops) + len(m.env.ops); n != len(m.ops) {
+			t.Fatalf("W=%d: the split holds %d gates, the netlist %d", w, n, len(m.ops))
+		}
 		if len(m.env.rops) != len(m.env.ops) || m.EnvConeSize() == 0 {
 			t.Fatalf("W=%d: resolved cone has %d ops, index cone %d", w, len(m.env.rops), len(m.env.ops))
 		}
