@@ -20,6 +20,7 @@ package repro
 //	BenchmarkEvalComb        — one dense gate pass of the 256-lane device, per active-group count
 //	BenchmarkCommitFFs       — one flip-flop commit, per active-group count
 //	BenchmarkFetch           — one memory-environment call, per count of distinct PCs
+//	BenchmarkRecordGolden    — scalar and wide golden recording, per golden cycle
 //
 // Run everything with:  go test -bench=. -benchmem
 import (
@@ -351,6 +352,59 @@ func BenchmarkGateLevelSim(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run.Step()
+	}
+}
+
+// BenchmarkRecordGolden records the golden run of AVR fib and MSP430 conv
+// with the scalar recorder (RecordGolden on a Run) and the wide one
+// (RecordGoldenW on a 64-lane device), reporting the cost per golden cycle:
+// wall time and bytes allocated while recording. Building the device is
+// neither timed nor counted.
+func BenchmarkRecordGolden(b *testing.B) {
+	for _, w := range []struct{ cpu, prog string }{{"avr", "fib"}, {"msp430", "conv"}} {
+		t, err := hafi.NewTarget(w.cpu, w.prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		recorders := []struct {
+			name  string
+			build func() func() (*hafi.Golden, error) // a fresh device, ready to record
+		}{
+			{"scalar", func() func() (*hafi.Golden, error) {
+				r := t.NewRun()
+				return func() (*hafi.Golden, error) { return hafi.RecordGolden(r, 1<<20) }
+			}},
+			{"wide", func() func() (*hafi.Golden, error) {
+				r, err := t.NewRunW(64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return func() (*hafi.Golden, error) { return hafi.RecordGoldenW(r, 1<<20) }
+			}},
+		}
+		for _, rec := range recorders {
+			b.Run(w.cpu+"-"+w.prog+"/"+rec.name, func(b *testing.B) {
+				var ms0, ms1 runtime.MemStats
+				cycles, bytes := 0, uint64(0)
+				b.StopTimer()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					record := rec.build()
+					runtime.ReadMemStats(&ms0)
+					b.StartTimer()
+					g, err := record()
+					b.StopTimer()
+					runtime.ReadMemStats(&ms1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycles += g.HaltCycle
+					bytes += ms1.TotalAlloc - ms0.TotalAlloc
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+				b.ReportMetric(float64(bytes)/float64(cycles), "B/cycle")
+			})
+		}
 	}
 }
 

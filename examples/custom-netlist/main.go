@@ -75,6 +75,26 @@ func buildEngine() (*netlist.Netlist, synth.Bus, netlist.WireID, netlist.WireID)
 	return b.MustNetlist(), data, en, done[0]
 }
 
+// stimulus resolves the engine's ports by name and returns its input
+// drive, a pure function of the cycle as hafi.NetlistRun requires, and the
+// done wire that ends the workload.
+func stimulus(nl *netlist.Netlist) (drive func(cycle int, m *sim.Machine), done netlist.WireID) {
+	dataW := make(synth.Bus, 8)
+	for i := range dataW {
+		w, ok := nl.WireByName(fmt.Sprintf("data[%d]", i))
+		if !ok {
+			log.Fatal("data wire lost")
+		}
+		dataW[i] = w
+	}
+	enW, _ := nl.WireByName("en")
+	done, _ = nl.WireByName("done[0]")
+	return func(cycle int, m *sim.Machine) {
+		m.WriteBus(dataW, uint64(cycle*31+7)&0xFF)
+		m.SetValue(enW, true)
+	}, done
+}
+
 func main() {
 	nl, _, _, _ := buildEngine()
 	fmt.Printf("designed %s: %s\n", nl.Name, nl.Stats())
@@ -93,16 +113,7 @@ func main() {
 	nl = imported
 
 	// The port wires move with the round trip; resolve them by name.
-	dataW := make(synth.Bus, 8)
-	for i := range dataW {
-		w, ok := nl.WireByName(fmt.Sprintf("data[%d]", i))
-		if !ok {
-			log.Fatal("data wire lost")
-		}
-		dataW[i] = w
-	}
-	enW, _ := nl.WireByName("en")
-	doneW, _ := nl.WireByName("done[0]")
+	drive, doneW := stimulus(nl)
 
 	// --- static + offline analyses ------------------------------------------
 	col := collapse.Collapse(nl)
@@ -112,10 +123,6 @@ func main() {
 	fmt.Printf("MATE search:        %d MATEs, %d unmaskable of %d FFs\n",
 		res.Set.Size(), res.Unmaskable, len(nl.FFs))
 
-	drive := func(cycle int, m *sim.Machine) {
-		m.WriteBus(dataW, uint64(cycle*31+7)&0xFF)
-		m.SetValue(enW, true)
-	}
 	run := hafi.NewNetlistRun(nl, doneW, drive)
 	golden, err := hafi.RecordGolden(run, 1000)
 	if err != nil {

@@ -101,11 +101,13 @@ var _ [ramCells]struct{} = [1 << msp430.DMemBits]struct{}{}
 
 // checkpoint is the snapshot the scalar runs of targets.go and the wide
 // device exchange, so a Golden recorded by either restores into both. T is
-// the memory-image word of the target.
+// the memory-image word of the target. A checkpoint is never written after
+// it is taken, so checkpoints may share their slices and image: the scalar
+// recorder gives every checkpoint of a store-free stretch one image.
 type checkpoint[T ~uint8 | ~uint16] struct {
 	ffs    []bool
 	inputs []bool
-	dmem   [ramCells]T
+	dmem   *[ramCells]T
 	digest uint64
 	cycle  int
 }
@@ -228,10 +230,11 @@ func (r *wideRun[T]) dmemLane(l int) (img [ramCells]T) {
 }
 
 func (r *wideRun[T]) CheckpointLane(l int) Checkpoint {
+	img := r.dmemLane(l)
 	return &checkpoint[T]{
 		ffs:    r.m.FFStateLane(l),
 		inputs: r.m.InputStateLane(l),
-		dmem:   r.dmemLane(l),
+		dmem:   &img,
 		digest: r.mem.Digest[l],
 		cycle:  r.m.Cycle,
 	}

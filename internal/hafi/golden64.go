@@ -22,13 +22,16 @@ type GoldenRunW interface {
 }
 
 // RecordGoldenW is RecordGolden on a wide batched device: lane 0 runs the
-// workload to completion while the bit-parallel gate kernel carries it, so
-// the golden reference costs one wide evaluation pass per cycle instead of
-// one scalar gate walk per cycle — an order of magnitude less wall clock
-// on the processor cores, where the scalar golden run otherwise rivals the
-// campaign itself. The returned Golden is equivalent to the scalar
-// recorder's bit for bit: same checkpoints, memory digests, trace rows,
-// halt cycle and signature (pinned by TestRecordGoldenWMatchesScalar).
+// workload to completion on the bit-parallel gate kernel. The returned
+// Golden is equivalent to the scalar recorder's bit for bit: same
+// checkpoints, memory digests, trace rows, halt cycle and signature (pinned
+// by TestRecordGoldenWMatchesScalar). It is slower than RecordGolden
+// (BenchmarkRecordGolden: 10.1–10.2 against 7.0–7.4 µs per cycle on AVR
+// fib, 13.2–13.7 against 9.1 on MSP430 conv): a 64-lane pass carries one
+// live lane, ExportLane walks every wire bit by bit to build the trace row,
+// and every checkpoint copies the memory image. No front end uses it; it
+// stays because bench/run.go names it (hafi.golden_wide_s) and is deleted
+// with that metric.
 func RecordGoldenW(r RunW, maxCycles int) (*Golden, error) {
 	gr, ok := r.(GoldenRunW)
 	if !ok {

@@ -43,7 +43,7 @@ func TestRecordGoldenWMatchesScalar(t *testing.T) {
 			compareGolden(t, want, got, func(cyc int) {
 				w := want.Checkpoints[cyc].(*checkpoint[uint8])
 				g := got.Checkpoints[cyc].(*checkpoint[uint8])
-				if w.dmem != g.dmem || w.digest != g.digest || w.cycle != g.cycle {
+				if *w.dmem != *g.dmem || w.digest != g.digest || w.cycle != g.cycle {
 					t.Fatalf("cycle %d: checkpoint mem/digest/cycle differ", cyc)
 				}
 				compareBools(t, cyc, w.ffs, g.ffs, w.inputs, g.inputs)
@@ -67,7 +67,7 @@ func TestRecordGoldenWMatchesScalar(t *testing.T) {
 			compareGolden(t, want, got, func(cyc int) {
 				w := want.Checkpoints[cyc].(*checkpoint[uint16])
 				g := got.Checkpoints[cyc].(*checkpoint[uint16])
-				if w.dmem != g.dmem || w.digest != g.digest || w.cycle != g.cycle {
+				if *w.dmem != *g.dmem || w.digest != g.digest || w.cycle != g.cycle {
 					t.Fatalf("cycle %d: checkpoint mem/digest/cycle differ", cyc)
 				}
 				compareBools(t, cyc, w.ffs, g.ffs, w.inputs, g.inputs)

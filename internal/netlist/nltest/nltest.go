@@ -1,5 +1,6 @@
 // Package nltest grows seeded random netlists for the property tests of the
-// packages that analyse netlists.
+// packages that analyse netlists, and checks simulation environments
+// against the sim.Env contract.
 package nltest
 
 import (

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/cell"
 	"repro/internal/netlist"
@@ -17,7 +18,10 @@ import (
 // Env services the environment of the circuit between the two combinational
 // evaluation passes of a cycle: it may read settled wires whose value does
 // not depend on primary inputs (e.g. registered memory addresses) and set
-// primary inputs (e.g. memory read data) for the final pass.
+// primary inputs (e.g. memory read data) for the final pass. It must write
+// primary inputs and nothing else: Settle's final pass re-evaluates only the
+// gates downstream of a primary input, so a gate output or flip-flop an Env
+// wrote would keep that value until the next pass.
 type Env interface {
 	SetInputs(m *Machine)
 }
@@ -34,16 +38,20 @@ var NopEnv Env = EnvFunc(func(*Machine) {})
 // Machine simulates one netlist instance, one bool per wire. It is the
 // oracle and nothing else: the scalar golden recording, the sequential
 // Controller.RunCampaign and the differential suites run on it, and it
-// shares no evaluation code with MachineW; no wide campaign steps it. The zero value is not usable; create machines with New.
+// shares no evaluation code with MachineW; no wide campaign steps it. The
+// zero value is not usable; create machines with New.
 type Machine struct {
 	NL     *netlist.Netlist
 	Cycle  int
 	values []bool
 
-	// ops is the flattened evaluation program in topological order. The
-	// common library cells are dispatched by kind (like MachineW); the
-	// truth table backs the generic fallback and EvalCombForced.
-	ops []scalarOp
+	// ops is the flattened evaluation program, level-major and kind-minor:
+	// equal-level gates are independent, so grouping them by kind keeps the
+	// order topological. full splits it into same-kind spans, cone does the
+	// same for the gates downstream of a primary input (Settle's final
+	// pass). The truth table backs the generic fallback and EvalCombForced.
+	ops        []scalarOp
+	full, cone []scalarSpan
 
 	// ffD/ffQ are the flip-flop pin wires, and ffNext the commit scratch.
 	ffD, ffQ []int32
@@ -51,20 +59,28 @@ type Machine struct {
 }
 
 // scalarOp is one gate in the flattened evaluation program. The pin array
-// is sized for cell.MaxInputs.
+// is sized for cell.MaxInputs; the fields are ordered to pack into 32 bytes.
 type scalarOp struct {
 	kind    cell.Kind
+	numPins int8
 	tt      uint32
 	out     int32
 	in      [cell.MaxInputs]int32
-	numPins int8
+}
+
+// scalarSpan is a run of same-kind gates of one program, evaluated by one
+// loop without a per-gate dispatch.
+type scalarSpan struct {
+	kind cell.Kind
+	ops  []scalarOp
 }
 
 // New creates a machine and resets it.
 func New(nl *netlist.Netlist) *Machine {
 	m := &Machine{NL: nl, values: make([]bool, nl.NumWires())}
 	order := nl.EvalOrder()
-	m.ops = make([]scalarOp, 0, len(order))
+	ops := make([]scalarOp, 0, len(order))
+	level := make([]int32, nl.NumWires())
 	for _, gi := range order {
 		g := &nl.Gates[gi]
 		if len(g.Inputs) > cell.MaxInputs {
@@ -73,9 +89,36 @@ func New(nl *netlist.Netlist) *Machine {
 		o := scalarOp{kind: g.Cell.Kind, tt: g.Cell.TruthTable(), out: int32(g.Output), numPins: int8(len(g.Inputs))}
 		for p, w := range g.Inputs {
 			o.in[p] = int32(w)
+			level[g.Output] = max(level[g.Output], level[w]+1)
 		}
-		m.ops = append(m.ops, o)
+		ops = append(ops, o)
 	}
+	sort.SliceStable(ops, func(a, b int) bool {
+		la, lb := level[ops[a].out], level[ops[b].out]
+		if la != lb {
+			return la < lb
+		}
+		return ops[a].kind < ops[b].kind
+	})
+	m.ops = ops
+
+	// The input cone: every gate with a pin downstream of a primary input.
+	inCone := make([]bool, nl.NumWires())
+	for _, w := range nl.Inputs {
+		inCone[w] = true
+	}
+	var cone []scalarOp
+	for _, o := range ops {
+		for _, w := range o.in[:o.numPins] {
+			if inCone[w] {
+				inCone[o.out] = true
+				cone = append(cone, o)
+				break
+			}
+		}
+	}
+	m.full, m.cone = spans(ops), spans(cone)
+
 	m.ffD = make([]int32, len(nl.FFs))
 	m.ffQ = make([]int32, len(nl.FFs))
 	m.ffNext = make([]bool, len(nl.FFs))
@@ -85,6 +128,20 @@ func New(nl *netlist.Netlist) *Machine {
 	}
 	m.Reset()
 	return m
+}
+
+// spans splits a program into maximal same-kind runs.
+func spans(ops []scalarOp) []scalarSpan {
+	var out []scalarSpan
+	for i := 0; i < len(ops); {
+		j := i + 1
+		for j < len(ops) && ops[j].kind == ops[i].kind {
+			j++
+		}
+		out = append(out, scalarSpan{kind: ops[i].kind, ops: ops[i:j:j]})
+		i = j
+	}
+	return out
 }
 
 // Reset loads every flip-flop with its initial value, clears all other
@@ -124,73 +181,118 @@ func (m *Machine) WriteBus(bus []netlist.WireID, v uint64) {
 	}
 }
 
-// EvalComb evaluates all gates once in topological order, dispatching the
-// library cells by kind (mirroring MachineW.EvalComb) with a truth-table
-// fallback for anything else. This runs twice per cycle in every
-// experiment, so the common cells avoid the per-pin bit-probe loop.
-func (m *Machine) EvalComb() {
+// EvalComb evaluates all gates once in topological order.
+func (m *Machine) EvalComb() { m.eval(m.full) }
+
+// bu is a bool as 0 or 1; the compiler lowers it to a zero extension, so
+// the gate formulas below evaluate every pin without a branch.
+func bu(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// eval runs a program one same-kind span at a time. The library cells
+// evaluate on 0/1 bytes without a branch (a MUX2 reads the pin its select
+// names); anything else reads its truth table.
+func (m *Machine) eval(prog []scalarSpan) {
 	v := m.values
-	for i := range m.ops {
-		o := &m.ops[i]
-		var out bool
-		switch o.kind {
-		case cell.TIE0:
-			out = false
-		case cell.TIE1:
-			out = true
+	for _, s := range prog {
+		ops := s.ops
+		switch s.kind {
+		case cell.TIE0, cell.TIE1:
+			for i := range ops {
+				v[ops[i].out] = s.kind == cell.TIE1
+			}
 		case cell.BUF:
-			out = v[o.in[0]]
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = v[o.in[0]]
+			}
 		case cell.INV:
-			out = !v[o.in[0]]
-		case cell.AND2:
-			out = v[o.in[0]] && v[o.in[1]]
-		case cell.AND3:
-			out = v[o.in[0]] && v[o.in[1]] && v[o.in[2]]
-		case cell.AND4:
-			out = v[o.in[0]] && v[o.in[1]] && v[o.in[2]] && v[o.in[3]]
-		case cell.NAND2:
-			out = !(v[o.in[0]] && v[o.in[1]])
-		case cell.NAND3:
-			out = !(v[o.in[0]] && v[o.in[1]] && v[o.in[2]])
-		case cell.NAND4:
-			out = !(v[o.in[0]] && v[o.in[1]] && v[o.in[2]] && v[o.in[3]])
-		case cell.OR2:
-			out = v[o.in[0]] || v[o.in[1]]
-		case cell.OR3:
-			out = v[o.in[0]] || v[o.in[1]] || v[o.in[2]]
-		case cell.OR4:
-			out = v[o.in[0]] || v[o.in[1]] || v[o.in[2]] || v[o.in[3]]
-		case cell.NOR2:
-			out = !(v[o.in[0]] || v[o.in[1]])
-		case cell.NOR3:
-			out = !(v[o.in[0]] || v[o.in[1]] || v[o.in[2]])
-		case cell.NOR4:
-			out = !(v[o.in[0]] || v[o.in[1]] || v[o.in[2]] || v[o.in[3]])
-		case cell.XOR2:
-			out = v[o.in[0]] != v[o.in[1]]
-		case cell.XNOR2:
-			out = v[o.in[0]] == v[o.in[1]]
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = !v[o.in[0]]
+			}
+		case cell.AND2, cell.NAND2:
+			inv := bu(s.kind == cell.NAND2)
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = bu(v[o.in[0]])&bu(v[o.in[1]]) != inv
+			}
+		case cell.AND3, cell.NAND3:
+			inv := bu(s.kind == cell.NAND3)
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = bu(v[o.in[0]])&bu(v[o.in[1]])&bu(v[o.in[2]]) != inv
+			}
+		case cell.AND4, cell.NAND4:
+			inv := bu(s.kind == cell.NAND4)
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = bu(v[o.in[0]])&bu(v[o.in[1]])&bu(v[o.in[2]])&bu(v[o.in[3]]) != inv
+			}
+		case cell.OR2, cell.NOR2:
+			inv := bu(s.kind == cell.NOR2)
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = bu(v[o.in[0]])|bu(v[o.in[1]]) != inv
+			}
+		case cell.OR3, cell.NOR3:
+			inv := bu(s.kind == cell.NOR3)
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = bu(v[o.in[0]])|bu(v[o.in[1]])|bu(v[o.in[2]]) != inv
+			}
+		case cell.OR4, cell.NOR4:
+			inv := bu(s.kind == cell.NOR4)
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = bu(v[o.in[0]])|bu(v[o.in[1]])|bu(v[o.in[2]])|bu(v[o.in[3]]) != inv
+			}
+		case cell.XOR2, cell.XNOR2:
+			inv := s.kind == cell.XNOR2
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = v[o.in[0]] != v[o.in[1]] != inv
+			}
 		case cell.MUX2:
-			if v[o.in[2]] {
-				out = v[o.in[1]]
-			} else {
-				out = v[o.in[0]]
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = v[o.in[bu(v[o.in[2]])&1]] // &1 drops the bounds check
 			}
 		case cell.AOI21:
-			out = !((v[o.in[0]] && v[o.in[1]]) || v[o.in[2]])
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = bu(v[o.in[0]])&bu(v[o.in[1]])|bu(v[o.in[2]]) == 0
+			}
 		case cell.AOI22:
-			out = !((v[o.in[0]] && v[o.in[1]]) || (v[o.in[2]] && v[o.in[3]]))
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = bu(v[o.in[0]])&bu(v[o.in[1]])|bu(v[o.in[2]])&bu(v[o.in[3]]) == 0
+			}
 		case cell.OAI21:
-			out = !((v[o.in[0]] || v[o.in[1]]) && v[o.in[2]])
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = (bu(v[o.in[0]])|bu(v[o.in[1]]))&bu(v[o.in[2]]) == 0
+			}
 		case cell.OAI22:
-			out = !((v[o.in[0]] || v[o.in[1]]) && (v[o.in[2]] || v[o.in[3]]))
+			for i := range ops {
+				o := &ops[i]
+				v[o.out] = (bu(v[o.in[0]])|bu(v[o.in[1]]))&(bu(v[o.in[2]])|bu(v[o.in[3]])) == 0
+			}
 		case cell.MAJ3:
-			a, b, c := v[o.in[0]], v[o.in[1]], v[o.in[2]]
-			out = (a && b) || (a && c) || (b && c)
+			for i := range ops {
+				o := &ops[i]
+				a, b, c := bu(v[o.in[0]]), bu(v[o.in[1]]), bu(v[o.in[2]])
+				v[o.out] = a&b|a&c|b&c != 0
+			}
 		default:
-			out = evalScalarTT(o, v)
+			for i := range ops {
+				v[ops[i].out] = evalScalarTT(&ops[i], v)
+			}
 		}
-		v[o.out] = out
 	}
 }
 
@@ -207,14 +309,17 @@ func evalScalarTT(o *scalarOp, v []bool) bool {
 
 // Settle runs evaluation, lets the environment set inputs, and evaluates
 // again. After Settle all wires carry their final value for this cycle.
-// The two-pass scheme requires that the wires the Env reads do not depend
-// on primary inputs; the processor netlists in this repository register
-// all memory interface outputs to guarantee that.
+// The first pass evaluates every gate; the second only the input cone, the
+// gates downstream of a primary input (an Env writes nothing else), so the
+// rest keep the first pass's values, which no input can change. The
+// two-pass scheme requires that the wires the Env reads do not depend on
+// primary inputs; the processor netlists in this repository register all
+// memory interface outputs to guarantee that.
 func (m *Machine) Settle(env Env) {
-	m.EvalComb()
+	m.eval(m.full)
 	if env != nil {
 		env.SetInputs(m)
-		m.EvalComb()
+		m.eval(m.cone)
 	}
 }
 
@@ -253,11 +358,16 @@ func (m *Machine) FlipFF(ffIndex int) {
 
 // FFState snapshots the stored values of all flip-flops.
 func (m *Machine) FFState() []bool {
-	s := make([]bool, len(m.NL.FFs))
-	for i := range m.NL.FFs {
-		s[i] = m.values[m.NL.FFs[i].Q]
-	}
+	s := make([]bool, len(m.ffQ))
+	m.ReadFFState(s)
 	return s
+}
+
+// ReadFFState is FFState into dst, of length len(NL.FFs).
+func (m *Machine) ReadFFState(dst []bool) {
+	for i, q := range m.ffQ {
+		dst[i] = m.values[q]
+	}
 }
 
 // SetFFState restores a snapshot taken with FFState.
@@ -273,10 +383,15 @@ func (m *Machine) SetFFState(s []bool) {
 // InputState snapshots the current values of all primary inputs.
 func (m *Machine) InputState() []bool {
 	s := make([]bool, len(m.NL.Inputs))
-	for i, w := range m.NL.Inputs {
-		s[i] = m.values[w]
-	}
+	m.ReadInputState(s)
 	return s
+}
+
+// ReadInputState is InputState into dst, of length len(NL.Inputs).
+func (m *Machine) ReadInputState(dst []bool) {
+	for i, w := range m.NL.Inputs {
+		dst[i] = m.values[w]
+	}
 }
 
 // SetInputState restores primary-input values captured with InputState.

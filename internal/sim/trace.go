@@ -11,35 +11,59 @@ import (
 // of the paper's VCD dump ("we recorded a VCD trace file for each
 // program/processor that describes the values of all wires for every clock
 // cycle"); internal/vcd converts between the two representations.
+//
+// Rows are stored in chunks of a fixed power-of-two row count, so a trace
+// grows by one allocation per chunk and never copies recorded rows: one
+// growing slice would re-copy the whole trace every time it grew by a
+// quarter.
 type Trace struct {
 	NumWires int
 	words    int
-	data     []uint64
+	shift    uint // a chunk holds 1<<shift rows
+	chunks   [][]uint64
 	cycles   int
 }
 
+// traceChunkBytes is the size a chunk aims at.
+const traceChunkBytes = 64 << 10
+
 // NewTrace creates an empty trace for circuits with numWires wires.
 func NewTrace(numWires int) *Trace {
-	return &Trace{NumWires: numWires, words: (numWires + 63) / 64}
+	t := &Trace{NumWires: numWires, words: (numWires + 63) / 64}
+	for t.shift < 16 && 8*t.words<<(t.shift+1) <= traceChunkBytes {
+		t.shift++
+	}
+	return t
 }
 
 // NumCycles returns the number of recorded cycles.
 func (t *Trace) NumCycles() int { return t.cycles }
 
-// Append records one cycle worth of wire values.
+// grow appends an all-zero row and returns it.
+func (t *Trace) grow() []uint64 {
+	if t.cycles>>t.shift == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]uint64, t.words<<t.shift))
+	}
+	t.cycles++
+	return t.Row(t.cycles - 1)
+}
+
+// Append records one cycle worth of wire values, packing eight wires at a
+// time without a branch per wire.
 func (t *Trace) Append(values []bool) {
 	if len(values) != t.NumWires {
 		panic(fmt.Sprintf("trace: got %d values, want %d", len(values), t.NumWires))
 	}
-	base := len(t.data)
-	t.data = append(t.data, make([]uint64, t.words)...)
-	row := t.data[base:]
-	for i, v := range values {
-		if v {
-			row[i/64] |= 1 << (i % 64)
-		}
+	row := t.grow()
+	full := len(values) / 8 * 8
+	for i := 0; i < full; i += 8 {
+		b := values[i : i+8 : i+8]
+		row[i/64] |= (uint64(bu(b[0])) | uint64(bu(b[1]))<<1 | uint64(bu(b[2]))<<2 | uint64(bu(b[3]))<<3 |
+			uint64(bu(b[4]))<<4 | uint64(bu(b[5]))<<5 | uint64(bu(b[6]))<<6 | uint64(bu(b[7]))<<7) << (i % 64)
 	}
-	t.cycles++
+	for i, v := range values[full:] {
+		row[(full+i)/64] |= uint64(bu(v)) << ((full + i) % 64)
+	}
 }
 
 // AppendRow records one cycle from an already-packed row in the same
@@ -50,36 +74,36 @@ func (t *Trace) AppendRow(row []uint64) {
 	if len(row) != t.words {
 		panic(fmt.Sprintf("trace: got %d row words, want %d", len(row), t.words))
 	}
-	t.data = append(t.data, row...)
-	t.cycles++
+	copy(t.grow(), row)
 }
 
 // Set overwrites a single bit; used by the VCD reader.
 func (t *Trace) Set(cycle int, w netlist.WireID, v bool) {
-	idx := cycle*t.words + int(w)/64
+	row := t.Row(cycle)
 	bit := uint64(1) << (int(w) % 64)
 	if v {
-		t.data[idx] |= bit
+		row[int(w)/64] |= bit
 	} else {
-		t.data[idx] &^= bit
+		row[int(w)/64] &^= bit
 	}
 }
 
 // AppendEmpty adds an all-zero cycle (used by the VCD reader).
-func (t *Trace) AppendEmpty() {
-	t.data = append(t.data, make([]uint64, t.words)...)
-	t.cycles++
-}
+func (t *Trace) AppendEmpty() { t.grow() }
 
 // Get returns the value of wire w at the given cycle.
 func (t *Trace) Get(cycle int, w netlist.WireID) bool {
-	return t.data[cycle*t.words+int(w)/64]>>(int(w)%64)&1 == 1
+	return t.Row(cycle)[int(w)/64]>>(int(w)%64)&1 == 1
 }
 
 // Row returns the packed words of one cycle; the slice aliases the trace
 // storage and must not be modified.
 func (t *Trace) Row(cycle int) []uint64 {
-	return t.data[cycle*t.words : (cycle+1)*t.words]
+	if cycle < 0 || cycle >= t.cycles {
+		panic(fmt.Sprintf("trace: cycle %d out of range [0, %d)", cycle, t.cycles))
+	}
+	i := (cycle & (1<<t.shift - 1)) * t.words
+	return t.chunks[cycle>>t.shift][i : i+t.words : i+t.words]
 }
 
 // RowValues unpacks one cycle into a bool slice.
