@@ -19,6 +19,7 @@ package repro
 //	BenchmarkExactFind       — exact prime-implicant term extraction
 //	BenchmarkEvalComb        — one dense gate pass of the 256-lane device, per active-group count
 //	BenchmarkCommitFFs       — one flip-flop commit, per active-group count
+//	BenchmarkStep            — one Settle + commit of the 256-lane device, per active-group count
 //	BenchmarkFetch           — one memory-environment call, per count of distinct PCs
 //	BenchmarkRecordGolden    — scalar and wide golden recording, per golden cycle
 //
@@ -422,8 +423,9 @@ type stepLayerDevice interface {
 // benchStepLayer runs f on both cores with a 256-lane device in the state
 // of a full batch right after injection — golden checkpoint at half the
 // run, flip-flop l mod #FF flipped in lane l — compacted to ag groups. mem
-// is the device's memory environment: its ports, ROM and RAM.
-func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int)) {
+// is the device's memory environment: its ports, ROM and RAM; load puts
+// the device back into that state.
+func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int, load func())) {
 	avrCase, mspCase := experiments.PrepareAVR(), experiments.PrepareMSP430()
 	for _, cpu := range []struct {
 		c      *experiments.CPUCase
@@ -443,45 +445,69 @@ func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerD
 		}
 		dev := run.(stepLayerDevice)
 		for _, ag := range ags {
-			b.Run(c.Name+"/"+benchName("ag", ag), func(b *testing.B) {
+			src := make([]uint16, 64*ag)
+			for i := range src {
+				src[i] = uint16(i)
+			}
+			load := func() {
 				dev.LoadCheckpoint(golden.Checkpoints[golden.HaltCycle/2])
 				for l := 0; l < dev.Lanes(); l++ {
 					dev.FlipLane(l%len(c.NL.FFs), l)
 				}
 				if 64*ag < dev.Lanes() {
-					src := make([]uint16, 64*ag)
-					for i := range src {
-						src[i] = uint16(i)
-					}
 					dev.CompactLanes(src)
 				}
-				f(b, dev, dev.EnvW().(*sim.LaneMemory), ag)
+			}
+			b.Run(c.Name+"/"+benchName("ag", ag), func(b *testing.B) {
+				load()
+				f(b, dev, dev.EnvW().(*sim.LaneMemory), ag, load)
 			})
 		}
 	}
 }
 
-// BenchmarkEvalComb measures one dense combinational pass (the resolved
-// kernels at 2-4 groups, the index kernel at one).
+// BenchmarkEvalComb measures one dense pass of the device program (the
+// resolved kernels); gate-evals/s counts the ops that program evaluates.
+// The program leaves the hold muxes to the commit, so only BenchmarkStep
+// compares across a change that moves work between the two.
 func BenchmarkEvalComb(b *testing.B) {
-	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ *sim.LaneMemory, ag int) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ *sim.LaneMemory, ag int, _ func()) {
 		m := dev.MachW()
 		b.ResetTimer()
 		for i := 0; i < b.N*stepLayerCalls; i++ {
 			m.EvalComb()
 		}
-		evals := float64(len(m.NL.Gates)) * float64(64*ag) * float64(b.N*stepLayerCalls)
+		evals := float64(m.Shape().Ops) * float64(64*ag) * float64(b.N*stepLayerCalls)
 		b.ReportMetric(evals/b.Elapsed().Seconds(), "gate-evals/s")
 	})
 }
 
 // BenchmarkCommitFFs measures one flip-flop commit.
 func BenchmarkCommitFFs(b *testing.B) {
-	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ *sim.LaneMemory, _ int) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ *sim.LaneMemory, _ int, _ func()) {
 		m := dev.MachW()
 		b.ResetTimer()
 		for i := 0; i < b.N*stepLayerCalls; i++ {
 			m.CommitFFs()
+		}
+	})
+}
+
+// BenchmarkStep measures a device Step: Settle (the program around the
+// memory environment's call) and the commit, over the first
+// stepLayerCalls cycles after injection, each op from the same state.
+func BenchmarkStep(b *testing.B) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, _ int, load func()) {
+		m := dev.MachW()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			load()
+			b.StartTimer()
+			for j := 0; j < stepLayerCalls; j++ {
+				m.Settle(mem)
+				m.CommitFFs()
+			}
 		}
 	})
 }
@@ -496,7 +522,7 @@ func BenchmarkCommitFFs(b *testing.B) {
 // must not cost a cluster each. The data-memory half of the call does not
 // depend on either count.
 func BenchmarkFetch(b *testing.B) {
-	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, _ int) {
+	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, _ int, _ func()) {
 		m := dev.MachW()
 		m.EvalComb()
 		pcs := make([]uint16, dev.Lanes())
@@ -528,7 +554,7 @@ func BenchmarkFetch(b *testing.B) {
 // lanes storing (each address cluster one value): the cost curve of the
 // cluster loop, which has no dense fallback.
 func BenchmarkDataMem(b *testing.B) {
-	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int) {
+	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int, _ func()) {
 		m := dev.MachW()
 		m.EvalComb()
 		vals := make([]uint16, dev.Lanes())

@@ -26,12 +26,13 @@ type GoldenRunW interface {
 // Golden is equivalent to the scalar recorder's bit for bit: same
 // checkpoints, memory digests, trace rows, halt cycle and signature (pinned
 // by TestRecordGoldenWMatchesScalar). It is slower than RecordGolden
-// (BenchmarkRecordGolden: 10.1–10.2 against 7.0–7.4 µs per cycle on AVR
-// fib, 13.2–13.7 against 9.1 on MSP430 conv): a 64-lane pass carries one
-// live lane, ExportLane walks every wire bit by bit to build the trace row,
-// and every checkpoint copies the memory image. No front end uses it; it
-// stays because bench/run.go names it (hafi.golden_wide_s) and is deleted
-// with that metric.
+// (BenchmarkRecordGolden: 12.3–13.0 against 6.0–6.8 µs per cycle on AVR
+// fib, 14.4–15.3 against 7.5–10.0 on MSP430 conv): a 64-lane pass carries
+// one live lane, ExportLane runs the whole netlist again (Settle ran the
+// smaller device program) and walks every wire bit by bit to build the
+// trace row, and every checkpoint copies the memory image. No front end
+// uses it; it stays because bench/run.go names it (hafi.golden_wide_s) and
+// is deleted with that metric.
 func RecordGoldenW(r RunW, maxCycles int) (*Golden, error) {
 	gr, ok := r.(GoldenRunW)
 	if !ok {
@@ -41,14 +42,17 @@ func RecordGoldenW(r RunW, maxCycles int) (*Golden, error) {
 	env := gr.EnvW()
 	g := &Golden{Trace: sim.NewTrace(m.NL.NumWires())}
 	row := make([]uint64, m.LaneWireWords())
+	var cps cycleLog[Checkpoint]
+	var digests cycleLog[uint64]
 	for cyc := 0; cyc < maxCycles; cyc++ {
 		if r.HaltedMaskG(0)&1 != 0 {
 			g.HaltCycle = cyc
 			g.Signature = r.SignatureLane(0)
+			g.Checkpoints, g.MemDigests = cps.slice(), digests.slice()
 			return g, nil
 		}
-		g.Checkpoints = append(g.Checkpoints, gr.CheckpointLane(0))
-		g.MemDigests = append(g.MemDigests, r.MemDigestLane(0))
+		cps.add(gr.CheckpointLane(0))
+		digests.add(r.MemDigestLane(0))
 		m.Settle(env)
 		m.ExportLane(0, row)
 		g.Trace.AppendRow(row)

@@ -126,20 +126,53 @@ type Golden struct {
 // checkpointing every cycle and recording the full wire trace.
 func RecordGolden(r Run, maxCycles int) (*Golden, error) {
 	g := &Golden{Trace: sim.NewTrace(r.Machine().NL.NumWires())}
+	var cps cycleLog[Checkpoint]
+	var digests cycleLog[uint64]
 	for cyc := 0; cyc < maxCycles; cyc++ {
 		if r.Halted() {
 			g.HaltCycle = cyc
 			g.Signature = r.Signature()
+			g.Checkpoints, g.MemDigests = cps.slice(), digests.slice()
 			return g, nil
 		}
-		g.Checkpoints = append(g.Checkpoints, r.Checkpoint())
-		g.MemDigests = append(g.MemDigests, r.MemDigest())
+		cps.add(r.Checkpoint())
+		digests.add(r.MemDigest())
 		m := r.Machine()
 		m.Settle(r.Env())
 		g.Trace.Append(m.Values())
 		m.CommitFFs()
 	}
 	return nil, fmt.Errorf("hafi: golden run did not halt within %d cycles", maxCycles)
+}
+
+// cycleLogBlock is the block length of a cycleLog.
+const cycleLogBlock = 512
+
+// cycleLog collects one value per golden cycle in fixed blocks and copies
+// them once into a slice of the final length, so a recording of unknown
+// length allocates about twice that slice; append's 1.25× growth of large
+// slices allocated about five times it.
+type cycleLog[T any] struct {
+	blocks [][]T
+	n      int
+}
+
+func (c *cycleLog[T]) add(v T) {
+	if c.n%cycleLogBlock == 0 {
+		c.blocks = append(c.blocks, make([]T, 0, cycleLogBlock))
+	}
+	b := &c.blocks[len(c.blocks)-1]
+	*b = append(*b, v)
+	c.n++
+}
+
+// slice returns the values in order.
+func (c *cycleLog[T]) slice() []T {
+	out := make([]T, 0, c.n)
+	for _, b := range c.blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
 // FaultPoint identifies one injection under a fault model. In the zero

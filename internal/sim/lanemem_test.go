@@ -250,12 +250,12 @@ func TestLaneMemoryRefusesReadInCone(t *testing.T) {
 		switch {
 		case loop && (err == nil || !strings.Contains(err.Error(), "wdata0")):
 			t.Fatalf("write data fed by read data: error %v, want one naming wdata0", err)
-		case loop && (m.EnvConeSize() != 0 || len(m.main.ops) != len(m.ops)):
-			t.Fatalf("a refused machine is left split: cone %d, main %d of %d gates", m.EnvConeSize(), len(m.main.ops), len(m.ops))
+		case loop && (m.Shape().ConeOps != 0 || len(m.main.ops) != len(m.ops)):
+			t.Fatalf("a refused machine is left split: cone %d, main %d of %d gates", m.Shape().ConeOps, len(m.main.ops), len(m.ops))
 		case !loop && err != nil:
 			t.Fatalf("write data fed by the address: %v", err)
-		case !loop && (m.EnvConeSize() != 0 || len(m.main.ops) != 8):
-			t.Fatalf("no gate reads the read data, yet the cone holds %d and the rest %d gates", m.EnvConeSize(), len(m.main.ops))
+		case !loop && (m.Shape().ConeOps != 0 || len(m.main.ops) != 8):
+			t.Fatalf("no gate reads the read data, yet the cone holds %d and the rest %d gates", m.Shape().ConeOps, len(m.main.ops))
 		}
 	}
 }

@@ -19,12 +19,14 @@ import (
 // campaign front-ends run W=4 (256 lanes) by default.
 //
 // Layout: values is wire-major with stride W — values[int(w)*W+g] is lane
-// group g (lanes 64g..64g+63) of wire w. A program (the netlist outside
-// the cone behind the environment's writes, and that cone) holds each of
-// its gates twice: as an op64 whose indices are pre-scaled by W, and
-// resolved to pointers into values taken once at construction, so the
-// unrolled kernels read o.in[0][g] with no index arithmetic and no bounds
-// check per cycle.
+// group g (lanes 64g..64g+63) of wire w. A program (the whole netlist, or
+// the device program outside the cone behind the environment's writes, and
+// that cone) holds each of its gates twice: as an op64 whose indices are
+// pre-scaled by W, and resolved to pointers into values taken once at
+// construction, so the unrolled kernels read o.in[0][g] with no index
+// arithmetic and no bounds check per cycle.
+// After Settle every wire is exact until SetEnvWrites compiles the device
+// program; from then on only the outside readers it names are.
 //
 // The kernels are unrolled per active group count (evalProgram,
 // evalProgram2/3/4) and have a case for the nine cell kinds a device
@@ -44,8 +46,8 @@ type MachineW struct {
 	NL    *netlist.Netlist
 	W     int
 	Cycle int
-	// values is never reallocated after construction: both programs and
-	// ffPairs point into it. Its capacity exceeds its length by one view
+	// values is never reallocated after construction: the programs and
+	// holds point into it. Its capacity exceeds its length by one view
 	// (4 words) so the last wire's *[4]uint64 view is in range at any W.
 	values []uint64
 
@@ -60,17 +62,19 @@ type MachineW struct {
 
 	cscratch []uint64 // CompactLanes per-wire staging, len W
 
-	ops  []op64  // every gate, level-major and kind-minor
-	main program // ops outside env: every gate until SetEnvWrites splits them
-	env  program // the gates downstream of env-written wires (SetEnvWrites)
+	ops   []op64  // every gate, level-major and kind-minor
+	full  program // ops: ExportLane's pass, and main until SetEnvWrites
+	main  program // the device program outside env
+	env   program // the device program downstream of env-written wires
+	split bool    // SetEnvWrites split main and env (env may be empty)
 
 	ffD, ffQ   []int32 // unscaled wire ids (golden-row lookups)
 	ffDs, ffQs []int32 // pre-scaled (wire*W)
-	// Exactly one of the two is non-nil: ffNext (len FFs*W) stages the
-	// commit when some D wire is another flip-flop's Q, ffPairs holds the
-	// resolved D->Q copies when none is.
-	ffNext  []uint64
-	ffPairs []ffPair
+	// ffNext (len FFs*W) stages the commit when some D wire is another
+	// flip-flop's Q. Otherwise holds are the device program's enable groups
+	// and a group enabled by allOnes for the flip-flops not folded.
+	ffNext []uint64
+	holds  []holdGroup
 
 	// Cluster-loop scratch of LookupBus and AccessRAM (len W each) and
 	// LookupBus's back-off counter.
@@ -121,7 +125,7 @@ type program struct {
 	runs   []opRun
 }
 
-// ffPair is one flip-flop of the direct commit.
+// ffPair is one flip-flop of the direct commit: d is the wire it loads.
 type ffPair struct{ d, q *[4]uint64 }
 
 // view returns the four lane words starting at a pre-scaled wire index.
@@ -191,7 +195,8 @@ func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 			o.in[p] *= int32(w)
 		}
 	}
-	m.ops, m.main = ops, m.newProgram(ops)
+	m.ops, m.full = ops, m.newProgram(ops)
+	m.main = m.full
 	m.ffD = make([]int32, len(nl.FFs))
 	m.ffQ = make([]int32, len(nl.FFs))
 	m.ffDs = make([]int32, len(nl.FFs))
@@ -213,14 +218,10 @@ func NewMachineW(nl *netlist.Netlist, w int) (*MachineW, error) {
 	for _, d := range m.ffD {
 		direct = direct && !isQ[d]
 	}
-	if direct {
-		m.ffPairs = make([]ffPair, len(nl.FFs))
-		for i := range m.ffPairs {
-			m.ffPairs[i] = ffPair{d: m.view(m.ffDs[i]), q: m.view(m.ffQs[i])}
-		}
-	} else {
+	if !direct {
 		m.ffNext = make([]uint64, len(nl.FFs)*w)
 	}
+	m.setCommit(nil)
 	m.Reset()
 	return m, nil
 }
@@ -275,8 +276,11 @@ func (m *MachineW) LaneWireWords() int { return (m.NL.NumWires() + 63) / 64 }
 // ExportLane copies one lane's complete wire state (flip-flops, primary
 // inputs and settled combinational values alike) into dst, one bit per
 // wire (len(dst) >= LaneWireWords()) — the Trace.Row format, which is how
-// the wide golden recording takes its trace rows.
+// the wide golden recording takes its trace rows. The one reader of every
+// wire, it first evaluates the whole netlist, so after Settle every wire is
+// exact, device program or not.
 func (m *MachineW) ExportLane(lane int, dst []uint64) {
+	m.full.eval(m.ag)
 	w, g, sh := m.W, lane>>6, uint(lane)&63
 	nw := m.NL.NumWires()
 	for i := 0; i < (nw+63)/64; i++ {
@@ -415,61 +419,17 @@ func (m *MachineW) LoadInputs(ins []bool) {
 	}
 }
 
-// EvalComb evaluates all gates once across the active lane groups: the
-// gates outside the environment's cone, then the cone.
+// EvalComb evaluates the program once across the active lane groups: the
+// gates outside the environment's cone, then the cone. After SetEnvWrites
+// that is the device program, which keeps only the outside readers exact.
 func (m *MachineW) EvalComb() {
 	m.main.eval(m.ag)
 	m.env.eval(m.ag)
 }
 
-// SetEnvWrites declares the complete set of wires the lane environment may
-// drive (writes) and the wires it reads. It splits the netlist into the
-// cone of gates downstream of the written wires and the rest: Settle
-// evaluates the rest, calls the environment, then evaluates the cone, so
-// each gate once. That is exact only if the environment reads no wire of
-// the cone; if it does, SetEnvWrites returns an error naming the wire and
-// leaves the netlist unsplit, as it is when SetEnvWrites is never called
-// (Settle then runs a second full pass). An incomplete write list yields
-// stale simulations.
-func (m *MachineW) SetEnvWrites(reads []netlist.WireID, writes ...[]netlist.WireID) error {
-	// inCone is indexed by the pre-scaled wire index (wire*W), matching the
-	// op program, so the same code serves every width.
-	inCone := make([]bool, m.NL.NumWires()*m.W)
-	for _, ws := range writes {
-		for _, w := range ws {
-			inCone[int(w)*m.W] = true
-		}
-	}
-	var rest, cone []op64
-	for _, o := range m.ops {
-		in := false
-		for p := 0; p < int(o.numPins); p++ {
-			in = in || inCone[o.in[p]]
-		}
-		if in {
-			inCone[o.out] = true
-			cone = append(cone, o)
-		} else {
-			rest = append(rest, o)
-		}
-	}
-	for _, w := range reads {
-		if inCone[int(w)*m.W] {
-			m.main, m.env = m.newProgram(m.ops), program{}
-			return fmt.Errorf("sim: the environment reads wire %s, which depends on a wire it drives", m.NL.WireName(w))
-		}
-	}
-	m.main, m.env = m.newProgram(rest), m.newProgram(cone)
-	return nil
-}
-
-// EnvConeSize reports how many gates Settle evaluates after the
-// environment (0 when SetEnvWrites has not split the netlist).
-func (m *MachineW) EnvConeSize() int { return len(m.env.ops) }
-
-// FallbackOps reports how many gates of the netlist are of a kind the
-// unrolled kernels have no case for and run through evalProgramN instead:
-// 0 for every device the repository builds.
+// FallbackOps reports how many gates of the program Settle runs are of a
+// kind the unrolled kernels have no case for and run through evalProgramN
+// instead: 0 for every device the repository builds.
 func (m *MachineW) FallbackOps() int {
 	n := 0
 	for _, p := range []*program{&m.main, &m.env} {
@@ -497,49 +457,29 @@ func (m *MachineW) FirstDivergedFF(lane int, goldenRow []uint64, from int) int {
 	return -1
 }
 
-// CommitFFs clocks every flip-flop in the active lanes: one D->Q pass
-// through the resolved pairs, or — when the netlist has a flip-flop fed by
-// another flip-flop's Q, decided at construction — staged through ffNext.
+// CommitFFs clocks every flip-flop in the active lanes: through the
+// enable groups of the direct commit (commitHolds) or, when the netlist has
+// a flip-flop fed by another flip-flop's Q (decided at construction),
+// staged through ffNext. Beyond four active groups, where no flip-flop is
+// folded, it copies D to Q.
 func (m *MachineW) CommitFFs() {
 	m.Cycle++
-	if m.ffPairs == nil {
-		nx, v, w, ag := m.ffNext, m.values, m.W, m.ag
+	nx, v, w, ag := m.ffNext, m.values, m.W, m.ag
+	switch {
+	case nx != nil:
 		for i, d := range m.ffDs {
 			copy(nx[i*w:i*w+ag], v[d:int(d)+ag])
 		}
 		for i, q := range m.ffQs {
 			copy(v[q:int(q)+ag], nx[i*w:i*w+ag])
 		}
-		return
-	}
-	// Unrolled per active-group count: copy() spends its time in memmove
-	// call overhead at these tiny lengths.
-	switch pairs := m.ffPairs; m.ag {
-	case 1:
-		for i := range pairs {
-			pairs[i].q[0] = pairs[i].d[0]
-		}
-	case 2:
-		for i := range pairs {
-			d, q := pairs[i].d, pairs[i].q
-			q[0], q[1] = d[0], d[1]
-		}
-	case 3:
-		for i := range pairs {
-			d, q := pairs[i].d, pairs[i].q
-			q[0], q[1], q[2] = d[0], d[1], d[2]
-		}
-	case 4:
-		for i := range pairs {
-			d, q := pairs[i].d, pairs[i].q
-			q[0], q[1], q[2], q[3] = d[0], d[1], d[2], d[3]
-		}
-	default:
-		v, ag := m.values, m.ag
+	case ag > 4:
 		for i, d := range m.ffDs {
 			q := int(m.ffQs[i])
 			copy(v[q:q+ag], v[d:int(d)+ag])
 		}
+	default:
+		m.commitHolds()
 	}
 }
 
@@ -556,14 +496,15 @@ type EnvWFunc func(m *MachineW)
 func (f EnvWFunc) SetInputsW(m *MachineW) { f(m) }
 
 // Settle evaluates the combinational logic around the lane environment.
-// When SetEnvWrites has split the netlist, that is the gates outside the
-// environment's cone, the environment, then the cone: each gate once.
-// Otherwise it is a full pass, the environment and a second full pass.
+// When SetEnvWrites has split the device program, that is its gates
+// outside the environment's cone, the environment, then the cone (which
+// may be empty): each gate once. Otherwise it is a full pass, the
+// environment and a second full pass.
 func (m *MachineW) Settle(env EnvW) {
 	m.main.eval(m.ag)
 	if env != nil {
 		env.SetInputsW(m)
-		if m.env.ops == nil {
+		if !m.split {
 			m.main.eval(m.ag)
 		}
 	}

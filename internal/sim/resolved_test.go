@@ -147,12 +147,12 @@ func TestDirectCommitMatchesStaged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.ffPairs == nil {
+			if m.ffNext != nil {
 				continue // some D is a Q: covered by TestShiftRegisterCommitsStaged
 			}
 			direct++
 			staged, _ := NewMachineW(nl, w)
-			staged.ffPairs, staged.ffNext = nil, make([]uint64, len(nl.FFs)*w)
+			staged.holds, staged.ffNext = nil, make([]uint64, len(nl.FFs)*w)
 			for ag := w; ag >= 1; ag-- {
 				if ag < w {
 					src := firstLanes(64*ag - rng.Intn(64))
@@ -205,7 +205,7 @@ func TestShiftRegisterCommitsStaged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.ffPairs != nil {
+		if m.ffNext == nil {
 			t.Fatalf("W=%d: shift register took the direct commit", w)
 		}
 		rng := rand.New(rand.NewSource(int64(w)))
@@ -241,14 +241,14 @@ func TestSetEnvWritesRebuildsResolvedCone(t *testing.T) {
 		if err := m.SetEnvWrites(nil, nl.Inputs[:1]); err != nil {
 			t.Fatal(err)
 		}
-		first := m.EnvConeSize()
+		first := m.Shape().ConeOps
 		if err := m.SetEnvWrites(nil, nl.Inputs[1:3], nl.Inputs[4:]); err != nil {
 			t.Fatal(err)
 		}
 		if n := len(m.main.ops) + len(m.env.ops); n != len(m.ops) {
 			t.Fatalf("W=%d: the split holds %d gates, the netlist %d", w, n, len(m.ops))
 		}
-		if len(m.env.rops) != len(m.env.ops) || m.EnvConeSize() == 0 {
+		if len(m.env.rops) != len(m.env.ops) || m.Shape().ConeOps == 0 {
 			t.Fatalf("W=%d: resolved cone has %d ops, index cone %d", w, len(m.env.rops), len(m.env.ops))
 		}
 		for i := range m.env.ops {
@@ -256,7 +256,7 @@ func TestSetEnvWritesRebuildsResolvedCone(t *testing.T) {
 				t.Fatalf("W=%d: resolved env op %d does not view its index twin's output", w, i)
 			}
 		}
-		t.Logf("W=%d: cone %d ops after first declaration, %d after second", w, first, m.EnvConeSize())
+		t.Logf("W=%d: cone %d ops after first declaration, %d after second", w, first, m.Shape().ConeOps)
 		written := append(append([]netlist.WireID(nil), nl.Inputs[1:3]...), nl.Inputs[4:]...)
 		for cyc := 0; cyc < 6; cyc++ {
 			var words []uint64
