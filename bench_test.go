@@ -414,18 +414,12 @@ func BenchmarkRecordGolden(b *testing.B) {
 // 1x snapshots bench-compare takes could not resolve.
 const stepLayerCalls = 4096
 
-// stepLayerDevice is what the Step-layer benchmarks drive of a wide device.
-type stepLayerDevice interface {
-	hafi.CompactRunW
-	EnvW() sim.EnvW
-}
-
 // benchStepLayer runs f on both cores with a 256-lane device in the state
 // of a full batch right after injection — golden checkpoint at half the
 // run, flip-flop l mod #FF flipped in lane l — compacted to ag groups. mem
 // is the device's memory environment: its ports, ROM and RAM; load puts
 // the device back into that state.
-func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int, load func())) {
+func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev hafi.RunW, mem *sim.LaneMemory, ag int, load func())) {
 	avrCase, mspCase := experiments.PrepareAVR(), experiments.PrepareMSP430()
 	for _, cpu := range []struct {
 		c      *experiments.CPUCase
@@ -439,11 +433,10 @@ func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerD
 		if err != nil {
 			b.Fatal(err)
 		}
-		run, err := target.NewRunW(256)
+		dev, err := target.NewRunW(256)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dev := run.(stepLayerDevice)
 		for _, ag := range ags {
 			src := make([]uint16, 64*ag)
 			for i := range src {
@@ -471,7 +464,7 @@ func benchStepLayer(b *testing.B, ags []int, f func(b *testing.B, dev stepLayerD
 // The program leaves the hold muxes to the commit, so only BenchmarkStep
 // compares across a change that moves work between the two.
 func BenchmarkEvalComb(b *testing.B) {
-	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ *sim.LaneMemory, ag int, _ func()) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev hafi.RunW, _ *sim.LaneMemory, ag int, _ func()) {
 		m := dev.MachW()
 		b.ResetTimer()
 		for i := 0; i < b.N*stepLayerCalls; i++ {
@@ -484,7 +477,7 @@ func BenchmarkEvalComb(b *testing.B) {
 
 // BenchmarkCommitFFs measures one flip-flop commit.
 func BenchmarkCommitFFs(b *testing.B) {
-	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, _ *sim.LaneMemory, _ int, _ func()) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev hafi.RunW, _ *sim.LaneMemory, _ int, _ func()) {
 		m := dev.MachW()
 		b.ResetTimer()
 		for i := 0; i < b.N*stepLayerCalls; i++ {
@@ -497,7 +490,7 @@ func BenchmarkCommitFFs(b *testing.B) {
 // memory environment's call) and the commit, over the first
 // stepLayerCalls cycles after injection, each op from the same state.
 func BenchmarkStep(b *testing.B) {
-	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, _ int, load func()) {
+	benchStepLayer(b, []int{1, 2, 3, 4}, func(b *testing.B, dev hafi.RunW, mem *sim.LaneMemory, _ int, load func()) {
 		m := dev.MachW()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -515,21 +508,32 @@ func BenchmarkStep(b *testing.B) {
 // BenchmarkFetch measures one memory-environment call at four groups with
 // the lanes spread round-robin over a given number of PCs, all of them
 // below the power of two that covers the ROM (18 words on the AVR, 41 on
-// the MSP430): one cluster is the fault-free device, 13 the median of a
-// campaign cycle, 32 is past the limit where the fetch leaves the plane
-// domain for the transposes. tails=19 sends 19 lanes beyond the ROM, each
-// to a PC of its own — the hung lanes a campaign device carries, which
-// must not cost a cluster each. The data-memory half of the call does not
-// depend on either count.
+// the MSP430; a count past the ROM runs on the ROM repeated up to that
+// many words, so that every PC is a cluster of its own): one cluster is
+// the fault-free device, 13 the median of a campaign cycle, 32 to 256 the
+// wide fetches a device of scattered start cycles can meet, 256 one
+// cluster per lane. tails=19 sends 19 lanes beyond the ROM, each to a PC
+// of its own — the hung lanes a campaign device carries, which must not
+// cost a cluster each. The data-memory half of the call does not depend
+// on either count.
 func BenchmarkFetch(b *testing.B) {
-	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, _ int, _ func()) {
+	benchStepLayer(b, []int{4}, func(b *testing.B, dev hafi.RunW, mem *sim.LaneMemory, _ int, _ func()) {
 		m := dev.MachW()
 		m.EvalComb()
 		pcs := make([]uint16, dev.Lanes())
-		for _, c := range []struct{ clusters, tails int }{{1, 0}, {13, 0}, {13, 19}, {32, 0}} {
+		rom := mem.ROM
+		defer func() { mem.ROM = rom }()
+		for _, c := range []struct{ clusters, tails int }{{1, 0}, {13, 0}, {13, 19}, {32, 0}, {64, 0}, {256, 0}} {
 			name := benchName("clusters", c.clusters)
 			if c.tails > 0 {
 				name += "/" + benchName("tails", c.tails)
+			}
+			mem.ROM = rom
+			if len(rom) < c.clusters {
+				mem.ROM = make([]uint16, c.clusters)
+				for a := range mem.ROM {
+					mem.ROM[a] = rom[a%len(rom)]
+				}
 			}
 			b.Run(name, func(b *testing.B) {
 				for l := range pcs {
@@ -554,7 +558,7 @@ func BenchmarkFetch(b *testing.B) {
 // lanes storing (each address cluster one value): the cost curve of the
 // cluster loop, which has no dense fallback.
 func BenchmarkDataMem(b *testing.B) {
-	benchStepLayer(b, []int{4}, func(b *testing.B, dev stepLayerDevice, mem *sim.LaneMemory, ag int, _ func()) {
+	benchStepLayer(b, []int{4}, func(b *testing.B, dev hafi.RunW, mem *sim.LaneMemory, ag int, _ func()) {
 		m := dev.MachW()
 		m.EvalComb()
 		vals := make([]uint16, dev.Lanes())

@@ -34,13 +34,22 @@ type RunW interface {
 	// SignatureLane condenses one lane's externally visible result; it is
 	// comparable with the scalar Run.Signature of the same target.
 	SignatureLane(lane int) uint64
-	// MemDigestLane returns one lane's external-memory write digest; it is
-	// comparable with the scalar Run.MemDigest and the per-cycle digests of
-	// the golden reference.
-	MemDigestLane(lane int) uint64
 	// MachW exposes the lane-parallel machine (flip-flop state inspection
 	// for convergence retirement).
 	MachW() *sim.MachineW
+	// EnvW returns the per-cycle lane environment: on a campaign device a
+	// *sim.LaneMemory, whose write digests retirement reads (laneDigests).
+	EnvW() sim.EnvW
+	// ImportLane is LoadCheckpoint (state is a Checkpoint) restricted to one
+	// lane inside the active groups: that lane's flip-flops, primary inputs,
+	// memory image and write digest; every other lane and the active width
+	// stay untouched. The scheduler refills a dead lane with it.
+	ImportLane(lane int, state interface{})
+	// CompactLanes moves lane src[l] to lane l (src strictly increasing;
+	// state, memories and digests move together) and shrinks the active
+	// width to the lanes kept, so a draining device stops paying for lanes
+	// without an experiment.
+	CompactLanes(src []uint16)
 }
 
 // DeltaRunW is what is left of cone-delta execution, which no device
@@ -54,44 +63,26 @@ type DeltaRunW interface {
 	HaltedMaskDeltaG(g int) uint64
 }
 
-// CompactRunW is an optional RunW capability: a device that can pack a
-// subset of its lanes into the low lane indices and shrink its active
-// width, so a device draining its last experiments stops paying for the
-// lanes that have none. src must be strictly increasing; lane l of the
-// compacted device is lane src[l] of the old one (state, memories and
-// digests move together).
-type CompactRunW interface {
-	RunW
-	CompactLanes(src []uint16)
-}
-
-// SuspendRunW is an optional RunW capability: a device whose lanes can be
-// loaded one at a time. ImportLane is LoadCheckpoint restricted to one lane
-// inside the device's active groups: flip-flops, primary inputs, memory
-// image and write digest of that lane, every other lane and the active
-// width untouched. The campaign scheduler uses it to hand a lane whose
-// experiment ended off the golden run (halted, SDC, hang) its next point; a
-// device without the capability refills only lanes that are back on the
-// golden run. ExportLane returns a lane's state in a form ImportLane takes
-// (CheckpointLane); it has no caller in the engine, is named by
-// bench/trace.go and is deleted with it.
-type SuspendRunW interface {
-	RunW
-	ExportLane(lane int) interface{}
-	ImportLane(lane int, state interface{})
-}
+// CompactRunW and SuspendRunW stay only because bench/trace.go names
+// them, and go with it. ExportLane returns a lane's state in a form
+// ImportLane takes (CheckpointLane); it has no caller in the engine.
+type (
+	CompactRunW = RunW
+	SuspendRunW interface {
+		RunW
+		ExportLane(lane int) interface{}
+	}
+)
 
 // laneDigests returns a device's per-lane write digests, the slice the
 // scheduler's retirement filter reads a lane group of at a time: the
 // Digest of the *sim.LaneMemory its EnvW returns. A device without one
 // cannot run a campaign.
 func laneDigests(r RunW) ([]uint64, error) {
-	if e, ok := r.(interface{ EnvW() sim.EnvW }); ok {
-		if mem, ok := e.EnvW().(*sim.LaneMemory); ok {
-			return mem.Digest, nil
-		}
+	if mem, ok := r.EnvW().(*sim.LaneMemory); ok {
+		return mem.Digest, nil
 	}
-	return nil, fmt.Errorf("%T exposes no lane write digests (no EnvW capability returning a *sim.LaneMemory)", r)
+	return nil, fmt.Errorf("%T exposes no lane write digests (its EnvW is a %T, not a *sim.LaneMemory)", r, r.EnvW())
 }
 
 // ramCells is the data-memory size of the built-in cores (both 256 cells).
@@ -132,8 +123,9 @@ func signature[T ~uint8 | ~uint16](port T, img []T) uint64 {
 
 // wideRun is the one wide device: a lane-parallel machine, the lane-parallel
 // memory environment, and the two things a verdict reads besides memory —
-// the halted wire and the output port. It implements RunW and every
-// optional capability. Only the memory-image word differs between targets.
+// the halted wire and the output port. It implements RunW, GoldenRunW and
+// the bench husks (DeltaRunW, SuspendRunW). Only the memory-image word
+// differs between targets.
 type wideRun[T ~uint8 | ~uint16] struct {
 	m      *sim.MachineW
 	mem    *sim.LaneMemory // the machine's environment (sim.EnvW)
@@ -141,7 +133,7 @@ type wideRun[T ~uint8 | ~uint16] struct {
 	port   []netlist.WireID
 }
 
-// maxLanes bounds a device: lane compaction (CompactRunW.CompactLanes, the
+// maxLanes bounds a device: lane compaction (RunW.CompactLanes, the
 // scheduler's compactTails) carries lane indices as uint16.
 const maxLanes = 1 << 16
 
@@ -245,7 +237,7 @@ func (r *wideRun[T]) SignatureLane(l int) uint64 {
 	return signature(T(r.m.ReadBusLane(r.port, l)), dmem[:])
 }
 
-// The husk of DeltaRunW and SuspendRunW.ExportLane (see there).
+// The husks of DeltaRunW and SuspendRunW (see there).
 func (r *wideRun[T]) InitDelta(*sim.Trace) *sim.DeltaState { return nil }
 func (r *wideRun[T]) StepDelta()                           { r.Step() }
 func (r *wideRun[T]) HaltedMaskDeltaG(g int) uint64        { return r.HaltedMaskG(g) }

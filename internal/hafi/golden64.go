@@ -7,18 +7,19 @@ import (
 )
 
 // GoldenRunW is the optional RunW capability RecordGoldenW needs: the
-// device exposes its lane environment (so the recorder can interleave
-// trace capture between Settle and CommitFFs, exactly like RecordGolden
-// with Run.Env) and can checkpoint a single lane in the scalar target's
-// Checkpoint format, so the recorded Golden is interchangeable with one
-// from RecordGolden — the sequential engine Restores from it and the wide
-// engine's devices LoadCheckpoint from it without knowing who recorded it.
+// device can checkpoint a single lane in the scalar target's Checkpoint
+// format and read its write digest, so the recorded Golden is
+// interchangeable with one from RecordGolden — the sequential engine
+// Restores from it and the wide engine's devices LoadCheckpoint from it
+// without knowing who recorded it.
 type GoldenRunW interface {
 	RunW
-	// EnvW returns the per-cycle lane environment.
-	EnvW() sim.EnvW
 	// CheckpointLane captures one lane as a scalar-format checkpoint.
 	CheckpointLane(lane int) Checkpoint
+	// MemDigestLane returns one lane's external-memory write digest; it is
+	// comparable with the scalar Run.MemDigest and the per-cycle digests of
+	// the golden reference.
+	MemDigestLane(lane int) uint64
 }
 
 // RecordGoldenW is RecordGolden on a wide batched device: lane 0 runs the
@@ -39,7 +40,7 @@ func RecordGoldenW(r RunW, maxCycles int) (*Golden, error) {
 		return nil, fmt.Errorf("hafi: %T cannot record a golden run (no GoldenRunW capability)", r)
 	}
 	m := r.MachW()
-	env := gr.EnvW()
+	env := r.EnvW()
 	g := &Golden{Trace: sim.NewTrace(m.NL.NumWires())}
 	row := make([]uint64, m.LaneWireWords())
 	var cps cycleLog[Checkpoint]
@@ -52,7 +53,7 @@ func RecordGoldenW(r RunW, maxCycles int) (*Golden, error) {
 			return g, nil
 		}
 		cps.add(gr.CheckpointLane(0))
-		digests.add(r.MemDigestLane(0))
+		digests.add(gr.MemDigestLane(0))
 		m.Settle(env)
 		m.ExportLane(0, row)
 		g.Trace.AppendRow(row)

@@ -432,8 +432,6 @@ type panicRunW struct {
 	tripFF int
 }
 
-func (p *panicRunW) EnvW() sim.EnvW { return p.RunW.(GoldenRunW).EnvW() }
-
 func (p *panicRunW) FlipLane(ff, lane int) {
 	if ff == p.tripFF {
 		panic("injected lane fault")
@@ -489,11 +487,15 @@ func TestPanicIsolationBatched(t *testing.T) {
 // whose netlist happens to have the controller's shape.
 type refusingRunW struct{ RunW }
 
-func (r refusingRunW) EnvW() sim.EnvW { return r.RunW.(GoldenRunW).EnvW() }
-
 func (refusingRunW) LoadCheckpoint(cp Checkpoint) {
 	panic(fmt.Sprintf("checkpoint type %T is not mine", cp))
 }
+
+// foreignEnvRunW runs an environment of its own, which has no lane write
+// digests for the retirement filter to read.
+type foreignEnvRunW struct{ RunW }
+
+func (foreignEnvRunW) EnvW() sim.EnvW { return sim.EnvWFunc(func(*sim.MachineW) {}) }
 
 // TestPoolRefusesForeignDevice: a device the campaign could only turn into
 // harness errors — another target's, or one that does not take the golden
@@ -520,7 +522,7 @@ func TestPoolRefusesForeignDevice(t *testing.T) {
 		{"other target", []RunW{foreign}, "device 0"},
 		{"other target behind a good device", []RunW{own, foreign}, "device 1"},
 		{"refuses the checkpoint", []RunW{own, refusingRunW{own}}, "device 1"},
-		{"hides its write digests", []RunW{own, struct{ RunW }{own}}, "device 1: struct { hafi.RunW } exposes no lane write digests (no EnvW"},
+		{"hides its write digests", []RunW{own, foreignEnvRunW{own}}, "device 1: hafi.foreignEnvRunW exposes no lane write digests (its EnvW is a sim.EnvWFunc"},
 		{"nil device", []RunW{own, nil}, "device 1"},
 		{"empty pool", nil, "at least one device"},
 	} {

@@ -104,16 +104,13 @@ func (pl *plan) start(n int) (ci int, lo, hi int32) {
 //     or to its deadline while the next sweep goes on around it.
 //   - dead (in none of the masks): the experiment ended halted or hung, the
 //     lane's state is garbage. Handing it a point takes a per-lane load of
-//     the golden checkpoint first (SuspendRunW), or waits for the broadcast
-//     load of the next sweep.
+//     the golden checkpoint first (RunW.ImportLane).
 //
 // The machine's dynamics depend only on its state, never on the absolute
 // cycle number, so a lane's timeout is a deadline in device steps.
 type device struct {
 	c       *Controller
 	run     RunW
-	sr      SuspendRunW // nil: free lanes are the golden ones only
-	cr      CompactRunW
 	mw      *sim.MachineW
 	digests []uint64 // the device's per-lane write digests (laneDigests)
 	obs     *obs.Registry
@@ -174,8 +171,6 @@ func newDevice(c *Controller, cfg *CampaignConfig, run RunW, timeout int, result
 		d.watch0 = watch{q0, d.held.from[0], q0}
 	}
 	d.digests, _ = laneDigests(run) // cannot fail: checkPool refused a device without them
-	d.sr, _ = run.(SuspendRunW)
-	d.cr, _ = run.(CompactRunW)
 	for lane := range d.ffs {
 		d.ffs[lane] = laneFFs{r: run, lane: lane}
 	}
@@ -300,7 +295,7 @@ func (d *device) sweep(pl *plan) {
 // checkpoint load (which restores the full width) when the device holds no
 // tails, otherwise a per-lane load into every lane that is not one.
 func (d *device) startSweep(pl *plan) bool {
-	if d.planDone || d.nTail == d.lanes || (d.nTail > 0 && d.sr == nil) {
+	if d.planDone || d.nTail == d.lanes {
 		return false
 	}
 	ci, lo, hi := pl.start(d.lanes - d.nTail)
@@ -319,7 +314,7 @@ func (d *device) startSweep(pl *plan) bool {
 		d.goldenM[g] = ^d.tailM[g]
 		if d.nTail > 0 {
 			for m := d.goldenM[g]; m != 0; m &= m - 1 {
-				d.sr.ImportLane(g<<6+bits.TrailingZeros64(m), cp)
+				d.run.ImportLane(g<<6+bits.TrailingZeros64(m), cp)
 			}
 		}
 	}
@@ -369,11 +364,7 @@ func (d *device) inject(pl *plan) {
 		d.ci++
 	}
 	if d.pendLo == d.pendHi && d.ci < len(pl.cycles) && pl.cycles[d.ci].cycle == d.cyc {
-		free := d.nGolden
-		if d.sr != nil {
-			free = d.lanes - d.nRun - d.nTail
-		}
-		if free > 0 {
+		if free := d.lanes - d.nRun - d.nTail; free > 0 {
 			d.pendLo, d.pendHi = pl.take(d.ci, free)
 		}
 	}
@@ -411,7 +402,7 @@ func (d *device) freeLane() int {
 	for g := range d.runM {
 		if m := ^(d.runM[g] | d.tailM[g]); m != 0 {
 			lane := g<<6 + bits.TrailingZeros64(m)
-			d.sr.ImportLane(lane, d.c.golden.Checkpoints[d.cyc])
+			d.run.ImportLane(lane, d.c.golden.Checkpoints[d.cyc])
 			return lane
 		}
 	}
@@ -559,7 +550,7 @@ func (d *device) flush() {
 // handful of hang candidates at the full width.
 func (d *device) compactTails() {
 	ng := (d.nTail + 63) >> 6
-	if d.cr == nil || !d.planDone || ng >= d.groups {
+	if !d.planDone || ng >= d.groups {
 		return
 	}
 	src := make([]uint16, 0, d.nTail)
@@ -568,7 +559,7 @@ func (d *device) compactTails() {
 			src = append(src, uint16(g<<6+bits.TrailingZeros64(m)))
 		}
 	}
-	d.cr.CompactLanes(src)
+	d.run.CompactLanes(src)
 	d.groups = ng
 	for g := range d.tailM {
 		d.tailM[g] = 0

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cpu/msp430"
 	"repro/internal/journal"
 	"repro/internal/progs"
-	"repro/internal/sim"
 )
 
 // TestCancelAtHalfStopsEarly: a cancellation from Progress once half the
@@ -122,66 +121,45 @@ func TestCancelAtHalfStopsEarly(t *testing.T) {
 	}
 }
 
-// bareRunW hides every optional capability of the device it wraps but the
-// write digests every campaign device exposes: the engine sees a RunW and
-// its EnvW and nothing else (no ImportLane, no CompactLanes), so it can
-// refill golden lanes only and starts a sweep only without tails.
-type bareRunW struct{ RunW }
-
-func (b bareRunW) EnvW() sim.EnvW { return b.RunW.(GoldenRunW).EnvW() }
-
-// TestSchedulerGoldenLanesOnlyDevice: a capability-less device must journal
-// the same bytes as the full one and the same verdicts as the scalar engine.
-// The list has more points per cycle than the device has lanes, and a
-// multi-cycle model, so leftovers, refills and tails all occur.
-func TestSchedulerGoldenLanesOnlyDevice(t *testing.T) {
+// TestSchedulerRefillMatchesScalar: the 64-lane device must journal the
+// verdicts of the scalar engine on a list with more points per cycle than
+// the device has lanes and a multi-cycle model, so leftovers, per-lane
+// refills of dead lanes and tails all occur.
+func TestSchedulerRefillMatchesScalar(t *testing.T) {
 	c, prog, g, r := goldenAVR(t)
 	ctl := NewController(r, g)
 	points := ModelFaultList(c.NL, g.HaltCycle, 7, ModelSpec{Model: ModelIntermittent, Period: 2, Window: 5})
 	if len(points) < 3*64 {
 		t.Fatalf("fault list too small to overflow a 64-lane device: %d points", len(points))
 	}
-	journalBytes := func(exec func(cfg CampaignConfig) (*CampaignResult, error)) ([]byte, map[uint64]journal.Record) {
+	records := func(exec func(cfg CampaignConfig) (*CampaignResult, error)) map[uint64]journal.Record {
 		t.Helper()
-		raw, recs, _ := journalOf(t, ctl, CampaignConfig{Points: points}, exec)
-		return raw, recs
+		_, recs, _ := journalOf(t, ctl, CampaignConfig{Points: points}, exec)
+		return recs
 	}
 	full64, err := NewAVRRunW(avr.NewCore(), prog, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := RunW(bareRunW{full64}).(SuspendRunW); ok {
-		t.Fatal("the bare double still exposes ImportLane")
-	}
-	_, scalar := journalBytes(func(cfg CampaignConfig) (*CampaignResult, error) { return ctl.RunCampaign(cfg) })
-	want, _ := journalBytes(func(cfg CampaignConfig) (*CampaignResult, error) {
+	scalar := records(func(cfg CampaignConfig) (*CampaignResult, error) { return ctl.RunCampaign(cfg) })
+	wide := records(func(cfg CampaignConfig) (*CampaignResult, error) {
 		return ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{full64})
 	})
-	got, recs := journalBytes(func(cfg CampaignConfig) (*CampaignResult, error) {
-		return ctl.RunCampaignBatchedPoolWithW(cfg, []RunW{bareRunW{full64}})
-	})
-	if !bytes.Equal(got, want) {
-		t.Fatal("the capability-less device journals different bytes than the full one")
+	if len(wide) != len(points) {
+		t.Fatalf("64-lane device journaled %d of %d points", len(wide), len(points))
 	}
-	for idx, rec := range recs {
+	for idx, rec := range wide {
 		if rec != scalar[idx] {
-			t.Fatalf("point %d: capability-less device %+v, scalar engine %+v", idx, rec, scalar[idx])
+			t.Fatalf("point %d: 64-lane device %+v, scalar engine %+v", idx, rec, scalar[idx])
 		}
 	}
-}
-
-// fullDevice is what both in-tree devices are.
-type fullDevice interface {
-	CompactRunW
-	SuspendRunW
-	GoldenRunW
 }
 
 // trippedRun panics on behalf of one flip-flop: in FlipLane itself, or (in
 // step mode) in the first Step after the flip. LoadCheckpoint disarms it,
 // as a device reset would.
 type trippedRun struct {
-	fullDevice
+	RunW
 	tripFF int
 	inStep bool
 	armed  bool
@@ -194,19 +172,19 @@ func (p *trippedRun) FlipLane(ff, lane int) {
 		}
 		p.armed = true
 	}
-	p.fullDevice.FlipLane(ff, lane)
+	p.RunW.FlipLane(ff, lane)
 }
 
 func (p *trippedRun) Step() {
 	if p.armed {
 		panic("injected step fault")
 	}
-	p.fullDevice.Step()
+	p.RunW.Step()
 }
 
 func (p *trippedRun) LoadCheckpoint(cp Checkpoint) {
 	p.armed = false
-	p.fullDevice.LoadCheckpoint(cp)
+	p.RunW.LoadCheckpoint(cp)
 }
 
 // TestPanicIsolationScheduler: a device panic mid-sweep — in FlipLane when a
@@ -246,7 +224,7 @@ func TestPanicIsolationScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, res := onDevice(&trippedRun{fullDevice: dev.(fullDevice), tripFF: tripFF, inStep: inStep})
+		got, res := onDevice(&trippedRun{RunW: dev, tripFF: tripFF, inStep: inStep})
 		if res.ByOutcome[OutcomeHarnessError] != 1 || res.Total != len(points) {
 			t.Fatalf("inStep=%v: harness errors = %d, want exactly 1 (%+v)", inStep, res.ByOutcome[OutcomeHarnessError], res)
 		}
@@ -397,7 +375,7 @@ func TestImportLaneCheckpoint(t *testing.T) {
 				digest uint64
 			}
 			snap := func(r RunW, lane int) laneSnap {
-				s := laneSnap{wires: make([]uint64, r.MachW().LaneWireWords()), mem: tg.mem(r, lane), digest: r.MemDigestLane(lane)}
+				s := laneSnap{wires: make([]uint64, r.MachW().LaneWireWords()), mem: tg.mem(r, lane), digest: r.(GoldenRunW).MemDigestLane(lane)}
 				r.MachW().ExportLane(lane, s.wires)
 				return s
 			}
@@ -405,9 +383,8 @@ func TestImportLaneCheckpoint(t *testing.T) {
 			for lane := range before {
 				before[lane] = snap(dev, lane)
 			}
-			sr := dev.(SuspendRunW)
 			for _, lane := range lanes {
-				sr.ImportLane(lane, late)
+				dev.ImportLane(lane, late)
 			}
 			imported := map[int]bool{}
 			for _, lane := range lanes {
@@ -419,7 +396,7 @@ func TestImportLaneCheckpoint(t *testing.T) {
 				if got, want := m.InputStateLane(lane), rm.InputStateLane(lane); !slices.Equal(got, want) {
 					t.Errorf("lane %d: primary inputs differ from the broadcast load", lane)
 				}
-				if tg.mem(dev, lane) != tg.mem(ref, lane) || dev.MemDigestLane(lane) != ref.MemDigestLane(lane) {
+				if tg.mem(dev, lane) != tg.mem(ref, lane) || dev.(GoldenRunW).MemDigestLane(lane) != ref.(GoldenRunW).MemDigestLane(lane) {
 					t.Errorf("lane %d: memory image or digest differs from the broadcast load", lane)
 				}
 				if dev.HaltedMaskG(lane>>6)>>(uint(lane)&63)&1 != ref.HaltedMaskG(lane>>6)>>(uint(lane)&63)&1 {
@@ -452,15 +429,15 @@ func TestImportLaneCheckpoint(t *testing.T) {
 
 			// The scheduler reads a signature per halted lane and loads a lane
 			// per point: neither may cost a heap image (alloc_mb).
-			if n := testing.AllocsPerRun(10, func() { sr.ImportLane(63, late); dev.SignatureLane(63) }); n != 0 {
+			if n := testing.AllocsPerRun(10, func() { dev.ImportLane(63, late); dev.SignatureLane(63) }); n != 0 {
 				t.Errorf("ImportLane + SignatureLane allocate %v times per call", n)
 			}
 
-			dev.(CompactRunW).CompactLanes([]uint16{1, 2, 3, 5, 8, 13, 21, 34, 55, 89})
-			sr.ImportLane(5, late)
+			dev.CompactLanes([]uint16{1, 2, 3, 5, 8, 13, 21, 34, 55, 89})
+			dev.ImportLane(5, late)
 			donor := tg.wide()
 			donor.LoadCheckpoint(early)
-			snapshot := donor.(SuspendRunW).ExportLane(77)
+			snapshot := donor.(GoldenRunW).CheckpointLane(77)
 			for _, state := range []interface{}{late, snapshot} {
 				func() {
 					defer func() {
@@ -468,7 +445,7 @@ func TestImportLaneCheckpoint(t *testing.T) {
 							t.Errorf("ImportLane of a %T outside the active groups was accepted", state)
 						}
 					}()
-					sr.ImportLane(64, state)
+					dev.ImportLane(64, state)
 				}()
 			}
 
@@ -476,12 +453,12 @@ func TestImportLaneCheckpoint(t *testing.T) {
 			// a snapshot is imported into it: the memory environment serves it
 			// and it follows the scalar golden run cycle for cycle.
 			dead := dev.MachW().LiveLanes()
-			sr.ImportLane(dead, snapshot)
+			dev.ImportLane(dead, snapshot)
 			if got := dev.MachW().LiveLanes(); got != dead+1 {
 				t.Fatalf("%d live lanes after an import into dead lane %d", got, dead)
 			}
 			for cyc := 40; cyc < g.HaltCycle; cyc++ {
-				if ff := dev.MachW().FirstDivergedFF(dead, g.Trace.Row(cyc), 0); ff >= 0 || dev.MemDigestLane(dead) != g.MemDigests[cyc] {
+				if ff := dev.MachW().FirstDivergedFF(dead, g.Trace.Row(cyc), 0); ff >= 0 || dev.(GoldenRunW).MemDigestLane(dead) != g.MemDigests[cyc] {
 					t.Fatalf("cycle %d: revived lane %d left the golden run (flip-flop %d)", cyc, dead, ff)
 				}
 				dev.Step()

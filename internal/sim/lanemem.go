@@ -49,37 +49,20 @@ func (m *MachineW) nextCluster(bus []netlist.WireID, g int, todo, same []uint64)
 	return val
 }
 
-// lookupClusterLimit bounds the clusters LookupBus serves before it gives
-// the call to the dense transposes (at four groups a cluster of a fetch
-// costs ≈ 100 word ops, gather + scatter ≈ 5 600), lookupBackoff the
-// following calls that do not probe again. A scheduler device holds lanes
-// of many start cycles: the median fetch has 10–18 clusters, 0 % (AVR fib),
-// 6 % (MSP430 conv) and 22 % (AVR sort) of the calls cross the limit.
-const (
-	lookupClusterLimit = 20
-	lookupBackoff      = 15
-)
-
 // LookupBus drives dst (up to 16 wires) with rom[value of src] in every
 // live lane (0 beyond the ROM), one cluster per distinct src value. Lanes
 // whose value lies beyond the ROM are served before any cluster forms —
 // they read the 0 the bus already holds — so a hung lane walking the
 // address space at a PC of its own costs nothing; the others are compared
 // on the ⌈log₂ len(rom)⌉ low wires only. Dead lanes (LiveLanes() and up)
-// receive 0.
-//
-// It returns false, with dst unspecified in the active groups, when more
-// than lookupClusterLimit distinct values below 2^⌈log₂ len(rom)⌉ are
-// present or a recent call found that many; the caller then runs
-// GatherLanes, its own per-lane lookup and ScatterLanes, which overwrites
-// every active group of dst.
-func (m *MachineW) LookupBus(src, dst []netlist.WireID, rom []uint16) bool {
+// receive 0. Every cluster is served, however many: past about 40 a fetch
+// costs more than a lane-major gather, lookup and scatter would, but the
+// fetches of a campaign device have a median of 10–18 clusters, a 99th
+// percentile of at most 27 and a maximum of 33 (EXPERIMENTS.md, "One fetch
+// path").
+func (m *MachineW) LookupBus(src, dst []netlist.WireID, rom []uint16) {
 	if len(dst) > 16 {
 		panic("sim: LookupBus supports at most 16 data wires")
-	}
-	if m.lookupSkip > 0 {
-		m.lookupSkip--
-		return false
 	}
 	w, ag, v := m.W, m.ag, m.values
 	unserved, same := m.startClusters(dst), m.same[:ag]
@@ -94,17 +77,11 @@ func (m *MachineW) LookupBus(src, dst []netlist.WireID, rom []uint16) bool {
 		}
 	}
 	dmask := ^uint16(0) >> uint(16-len(dst))
-	clusters := 0
 	for g := 0; g < ag; {
 		if unserved[g] == 0 {
 			g++ // groups below g stay served
 			continue
 		}
-		if clusters == lookupClusterLimit {
-			m.lookupSkip = lookupBackoff
-			return false
-		}
-		clusters++
 		var word uint16
 		if addr := m.nextCluster(src[:low], g, unserved, same); addr < len(rom) {
 			word = rom[addr] & dmask
@@ -116,7 +93,6 @@ func (m *MachineW) LookupBus(src, dst []netlist.WireID, rom []uint16) bool {
 			}
 		}
 	}
-	return true
 }
 
 // LaneRAM is the lane-private data memory of a wide machine, bit-sliced
@@ -279,8 +255,6 @@ type LaneMemory struct {
 	ROM    []uint16
 	RAM    *LaneRAM
 	Digest []uint64
-
-	addr, data []uint16 // lane-major scratch of the dense fetch
 }
 
 // NewLaneMemory builds the environment for machine m and declares what it
@@ -293,26 +267,16 @@ func NewLaneMemory(m *MachineW, p MemoryPorts, rom []uint16) (*LaneMemory, error
 		return nil, err
 	}
 	e := &LaneMemory{MemoryPorts: p, ROM: rom, RAM: NewLaneRAM(len(p.Addr), len(p.RData), m.W),
-		Digest: make([]uint64, m.NumLanes()), addr: make([]uint16, m.NumLanes()), data: make([]uint16, m.NumLanes())}
+		Digest: make([]uint64, m.NumLanes())}
 	for l := range e.Digest {
 		e.Digest[l] = WriteDigestSeed
 	}
 	return e, nil
 }
 
-// SetInputsW implements EnvW. A fetch scattered over more PCs than
-// LookupBus serves goes through the lane-major transposes instead.
+// SetInputsW implements EnvW.
 func (e *LaneMemory) SetInputsW(m *MachineW) {
-	if !m.LookupBus(e.FetchAddr, e.FetchData, e.ROM) {
-		m.GatherLanes(e.FetchAddr, e.addr)
-		for l, a := range e.addr[:m.ActiveLanes()] {
-			e.data[l] = 0
-			if int(a) < len(e.ROM) {
-				e.data[l] = e.ROM[a]
-			}
-		}
-		m.ScatterLanes(e.FetchData, e.data)
-	}
+	m.LookupBus(e.FetchAddr, e.FetchData, e.ROM)
 	m.AccessRAM(e.RAM, e.Addr, e.WE, e.WData, e.RData, e.Digest)
 }
 

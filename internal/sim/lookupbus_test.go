@@ -26,8 +26,8 @@ func busMachine(t testing.TB, w, addrBits, dataBits int) (m *MachineW, src, dst 
 	return m, src, dst
 }
 
-// denseLookup is the path LookupBus replaces, and the one its callers run
-// when it declines: gather, per-lane lookup, scatter.
+// denseLookup is the lane-major reference LookupBus is checked against:
+// gather, per-lane lookup, scatter.
 func denseLookup(m *MachineW, src, dst []netlist.WireID, rom []uint16) {
 	addr := make([]uint16, m.NumLanes())
 	data := make([]uint16, m.NumLanes())
@@ -41,10 +41,9 @@ func denseLookup(m *MachineW, src, dst []netlist.WireID, rom []uint16) {
 }
 
 // checkLookup calls LookupBus and demands, on every live lane, the value
-// the dense path produces (from a copy of the same planes). It returns
-// what LookupBus returned; after a false the dense path must still work on
-// the planes LookupBus left behind.
-func checkLookup(t testing.TB, m *MachineW, src, dst []netlist.WireID, rom []uint16) bool {
+// the dense path produces (from a copy of the same planes), 0 on every dead
+// one, and an unchanged address bus.
+func checkLookup(t testing.TB, m *MachineW, src, dst []netlist.WireID, rom []uint16) {
 	t.Helper()
 	ref, err := NewMachineW(m.NL, m.W)
 	if err != nil {
@@ -56,32 +55,23 @@ func checkLookup(t testing.TB, m *MachineW, src, dst []netlist.WireID, rom []uin
 	srcBefore := make([]uint16, m.NumLanes())
 	m.GatherLanes(src, srcBefore)
 
-	ok := m.LookupBus(src, dst, rom)
+	m.LookupBus(src, dst, rom)
 	srcAfter := make([]uint16, m.NumLanes())
 	m.GatherLanes(src, srcAfter)
+	mask := uint64(1)<<uint(len(dst)) - 1
 	for l := 0; l < m.ActiveLanes(); l++ {
 		if srcAfter[l] != srcBefore[l] {
 			t.Fatalf("lane %d: LookupBus changed the address bus %04x -> %04x", l, srcBefore[l], srcAfter[l])
 		}
-	}
-	if !ok {
-		denseLookup(m, src, dst, rom)
-	}
-	mask := uint64(1)<<uint(len(dst)) - 1
-	for l := 0; l < m.ActiveLanes(); l++ {
 		got, want := m.ReadBusLane(dst, l), ref.ReadBusLane(dst, l)&mask
 		if l >= m.LiveLanes() {
-			if ok && got != 0 {
-				t.Fatalf("dead lane %d received %04x", l, got)
-			}
-			continue
+			want = 0
 		}
 		if got != want {
-			t.Fatalf("W=%d ag=%d live=%d served=%v lane %d (addr %04x): data %04x, dense path %04x",
-				m.W, m.ag, m.live, ok, l, srcBefore[l], got, want)
+			t.Fatalf("W=%d ag=%d live=%d lane %d (addr %04x): data %04x, dense path %04x",
+				m.W, m.ag, m.live, l, srcBefore[l], got, want)
 		}
 	}
-	return ok
 }
 
 // scatterClusters gives live lane l the address pool[pick(l)] and fills the
@@ -149,99 +139,49 @@ func romClusters(m *MachineW, src []netlist.WireID, rom []uint16) int {
 }
 
 // TestLookupBusMatchesDense: every group count, live counts that are not
-// multiples of 64, cluster counts up to the limit, addresses beyond the
-// ROM, and data buses narrower than the ROM word.
+// multiples of 64, random and exact cluster counts up to one per live lane,
+// addresses beyond the ROM, and data buses narrower than the ROM word.
 func TestLookupBusMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	rom := randomROM(rng, 300)
 	for w := 1; w <= 4; w++ {
 		for _, dataBits := range []int{16, 11} {
 			for _, live := range []int{64 * w, 64*w - 1, 64*(w-1) + 1, 64*(w-1) + 37} {
-				for _, k := range []int{1, 2, 13, lookupClusterLimit} {
+				// Random picks over a small pool; round robin over 21, 64 and
+				// one address per live lane, all of them below the ROM's
+				// power of two, so the count of clusters is exact.
+				for _, k := range []int{1, 2, 13, 20} {
 					m, src, dst := busMachine(t, w, 16, dataBits)
-					if live < 64*w {
-						m.CompactLanes(firstLanes(live))
+					lookupFixture(m, src, dst, rng, live, distinctAddrs(rng, k, 0, len(rom)*3/2), func(int) int { return rng.Intn(k) })
+					checkLookup(t, m, src, dst, rom)
+				}
+				for _, k := range []int{21, 64, live} {
+					m, src, dst := busMachine(t, w, 16, dataBits)
+					lookupFixture(m, src, dst, rng, live, distinctAddrs(rng, k, 0, 512), func(l int) int { return l % k })
+					if got, want := romClusters(m, src, rom), min(k, live); got != want {
+						t.Fatalf("W=%d live=%d: fixture has %d in-ROM clusters, want %d", w, live, got, want)
 					}
-					pool := distinctAddrs(rng, k, 0, len(rom)*3/2)
-					scatterClusters(m, src, dst, rng, pool, func(int) int { return rng.Intn(k) })
-					// Dead lanes of the last group hold addresses of their own:
-					// they must not be counted as clusters.
-					for l := live; l < m.ActiveLanes(); l++ {
-						for i, wire := range src {
-							g, bit := l>>6, uint64(1)<<(uint(l)&63)
-							if rng.Intn(2) == 0 || i == 15 {
-								m.SetLaneWord(wire, g, m.LaneWord(wire, g)|bit)
-							}
-						}
-					}
-					if !checkLookup(t, m, src, dst, rom) {
-						t.Fatalf("W=%d live=%d: %d clusters not served in the plane domain", w, live, k)
-					}
+					checkLookup(t, m, src, dst, rom)
 				}
 			}
 		}
 	}
 }
 
-// TestLookupBusClusterLimit: exactly the limit of in-ROM clusters is served,
-// whatever runs beyond the ROM; one more falls
-// back — leaving the dense path a clean slate — and the following
-// lookupBackoff calls decline without probing, even a one-cluster bus,
-// until Reset, LoadState or CompactLanes bring in a new lane population.
-func TestLookupBusClusterLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rom := randomROM(rng, 512)
-	m, src, dst := busMachine(t, 4, 16, 16)
-	pool := distinctAddrs(rng, lookupClusterLimit+1, 0, len(rom))
-	roundRobin := func(k int) func(int) int { return func(l int) int { return l % k } }
-
-	// Odd lanes have run away, each to an address of its own beyond the
-	// ROM; the even ones sit on exactly the limit of addresses inside it.
-	tails := distinctAddrs(rng, m.NumLanes()/2, len(rom), 1<<16)
-	mixed := append(append([]uint16{}, pool[:lookupClusterLimit]...), tails...)
-	scatterClusters(m, src, dst, rng, mixed, func(l int) int {
-		if l%2 == 1 {
-			return lookupClusterLimit + l/2
-		}
-		return l / 2 % lookupClusterLimit
-	})
-	if got := romClusters(m, src, rom); got != lookupClusterLimit {
-		t.Fatalf("fixture has %d in-ROM clusters, want %d", got, lookupClusterLimit)
+// lookupFixture compacts m to live lanes, gives live lane l the address
+// pool[pick(l)] (scatterClusters) and dead lanes of the last group
+// addresses of their own, which must not be counted as clusters.
+func lookupFixture(m *MachineW, src, dst []netlist.WireID, rng *rand.Rand, live int, pool []uint16, pick func(int) int) {
+	if live < m.NumLanes() {
+		m.CompactLanes(firstLanes(live))
 	}
-	if !checkLookup(t, m, src, dst, rom) {
-		t.Fatalf("%d clusters declined", lookupClusterLimit)
-	}
-	scatterClusters(m, src, dst, rng, pool, roundRobin(lookupClusterLimit+1))
-	if checkLookup(t, m, src, dst, rom) {
-		t.Fatalf("%d clusters served in the plane domain", lookupClusterLimit+1)
-	}
-	scatterClusters(m, src, dst, rng, pool, roundRobin(1))
-	for i := 0; i < lookupBackoff; i++ {
-		if checkLookup(t, m, src, dst, rom) {
-			t.Fatalf("call %d after a fallback probed again", i+1)
-		}
-	}
-	if !checkLookup(t, m, src, dst, rom) {
-		t.Fatal("one cluster declined after the back-off ran out")
-	}
-
-	// CompactLanes last: the other two restore the full width it needs.
-	for _, renew := range []struct {
-		name string
-		f    func()
-	}{
-		{"Reset", m.Reset},
-		{"LoadState", func() { m.LoadState(nil) }},
-		{"CompactLanes", func() { m.CompactLanes([]uint16{0, 1, 2, 70, 200}) }},
-	} {
-		scatterClusters(m, src, dst, rng, pool, roundRobin(lookupClusterLimit+1))
-		if m.LookupBus(src, dst, rom) {
-			t.Fatalf("%s: over-limit bus served", renew.name)
-		}
-		renew.f()
-		scatterClusters(m, src, dst, rng, pool, roundRobin(2))
-		if !checkLookup(t, m, src, dst, rom) {
-			t.Fatalf("back-off survived %s", renew.name)
+	scatterClusters(m, src, dst, rng, pool, pick)
+	for l := live; l < m.ActiveLanes(); l++ {
+		for i, wire := range src {
+			g, bit := l>>6, uint64(1)<<(uint(l)&63)
+			if rng.Intn(2) == 0 || i == 15 {
+				m.SetLaneWord(wire, g, m.LaneWord(wire, g)|bit)
+			}
 		}
 	}
 }
@@ -249,39 +189,37 @@ func TestLookupBusClusterLimit(t *testing.T) {
 // TestLookupBusROMBounds: lanes beyond the ROM never form a cluster — a
 // whole device of them, each at its own address, is served — but the
 // addresses between a ROM that is no power of two and the next one do,
-// reading 0; a ROM of one word or none serves anything.
+// reading 0, up to one cluster per lane; a ROM of one word or none serves
+// anything.
 func TestLookupBusROMBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m, src, dst := busMachine(t, 4, 16, 16)
 	perLane := func(l int) int { return l }
+	rom := randomROM(rng, 600)
+	for w := 1; w <= 4; w++ {
+		m, src, dst := busMachine(t, w, 16, 16)
+		scatterClusters(m, src, dst, rng, distinctAddrs(rng, m.NumLanes(), 1024, 1<<16), perLane)
+		if got := romClusters(m, src, rom); got != 0 {
+			t.Fatalf("fixture has %d in-ROM clusters, want 0", got)
+		}
+		checkLookup(t, m, src, dst, rom)
+		for _, k := range []int{20, 21, 64, m.NumLanes()} {
+			gap := distinctAddrs(rng, k, len(rom), 1024)
+			scatterClusters(m, src, dst, rng, gap, func(l int) int { return l % k })
+			if got := romClusters(m, src, rom); got != k {
+				t.Fatalf("W=%d: fixture has %d clusters between the ROM and its power of two, want %d", w, got, k)
+			}
+			checkLookup(t, m, src, dst, rom)
+		}
+	}
 
-	rom := randomROM(rng, 300)
-	scatterClusters(m, src, dst, rng, distinctAddrs(rng, m.NumLanes(), 512, 1<<16), perLane)
-	if got := romClusters(m, src, rom); got != 0 {
-		t.Fatalf("fixture has %d in-ROM clusters, want 0", got)
-	}
-	if !checkLookup(t, m, src, dst, rom) {
-		t.Fatal("a device of runaway lanes declined")
-	}
-	gap := distinctAddrs(rng, lookupClusterLimit+1, len(rom), 512)
-	scatterClusters(m, src, dst, rng, gap[:lookupClusterLimit], func(l int) int { return l % lookupClusterLimit })
-	if !checkLookup(t, m, src, dst, rom) {
-		t.Fatalf("%d clusters between the ROM and its power of two declined", lookupClusterLimit)
-	}
-	scatterClusters(m, src, dst, rng, gap, func(l int) int { return l % len(gap) })
-	if checkLookup(t, m, src, dst, rom) {
-		t.Fatalf("%d clusters between the ROM and its power of two served", len(gap))
-	}
-
+	m, src, dst := busMachine(t, 4, 16, 16)
 	for n := 0; n <= 1; n++ {
 		m.Reset()
 		scatterClusters(m, src, dst, rng, distinctAddrs(rng, m.NumLanes(), 0, 1<<16), perLane)
 		for _, wire := range src {
 			m.SetLaneWord(wire, 2, m.LaneWord(wire, 2)&^0xFF00FF) // some lanes at address 0
 		}
-		if !checkLookup(t, m, src, dst, randomROM(rng, n)) {
-			t.Fatalf("ROM of %d words declined", n)
-		}
+		checkLookup(t, m, src, dst, randomROM(rng, n))
 	}
 }
 
@@ -310,31 +248,32 @@ func TestLookupBusImportedWave(t *testing.T) {
 		if compacted {
 			m.CompactLanes(firstLanes(n))
 		}
-		if !checkLookup(t, m, src, dst, rom) {
-			t.Fatalf("wave of %d lanes over %d addresses not served", n, len(pool))
-		}
+		checkLookup(t, m, src, dst, rom)
 		if compacted && n < m.ActiveLanes() {
 			load(m, n)
-			if m.LiveLanes() != n+1 || !checkLookup(t, m, src, dst, rom) {
-				t.Fatalf("lane %d revived after compaction not served (%d live)", n, m.LiveLanes())
+			if m.LiveLanes() != n+1 {
+				t.Fatalf("lane %d revived after compaction: %d live", n, m.LiveLanes())
 			}
+			checkLookup(t, m, src, dst, rom)
 		}
 	}
 }
 
 // FuzzLookupBus fuzzes the clustered lookup against the dense path over
-// width, live-lane count, cluster count (on both sides of the limit), ROM
-// length (0, 1 and 2 words included), data bus width and plane contents.
+// width, live-lane count, cluster count (up to one per live lane, random or
+// round robin), ROM length (0, 1 and 2 words included), data bus width and
+// plane contents.
 func FuzzLookupBus(f *testing.F) {
 	f.Add(uint8(3), uint8(172), uint8(13), uint8(15), uint64(0xDEADBEEFCAFEF00D))
 	f.Add(uint8(0), uint8(63), uint8(0), uint8(0), uint64(1))
-	f.Add(uint8(3), uint8(255), uint8(lookupClusterLimit), uint8(15), ^uint64(0))
-	f.Add(uint8(1), uint8(100), uint8(lookupClusterLimit-1), uint8(7), uint64(1<<63))
+	f.Add(uint8(3), uint8(255), uint8(20), uint8(15), ^uint64(0))
+	f.Add(uint8(1), uint8(100), uint8(19), uint8(7), uint64(1<<63))
 	f.Add(uint8(2), uint8(0), uint8(200), uint8(3), uint64(0x0123456789ABCDEF))
+	f.Add(uint8(0), uint8(63), uint8(63), uint8(15), uint64(2))
+	f.Add(uint8(3), uint8(255), uint8(255), uint8(15), uint64(6))
 	f.Fuzz(func(t *testing.T, wRaw, liveRaw, clustersRaw, dataRaw uint8, seed uint64) {
 		w := int(wRaw)%4 + 1
 		live := int(liveRaw)%(64*w) + 1
-		k := int(clustersRaw)%(2*lookupClusterLimit) + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
 		romLen := 64 + rng.Intn(400)
 		if rng.Intn(4) == 0 {
@@ -347,11 +286,13 @@ func FuzzLookupBus(f *testing.F) {
 		} else {
 			live = 64 * w
 		}
-		pool := distinctAddrs(rng, k, 0, max(64, len(rom)*3/2))
-		scatterClusters(m, src, dst, rng, pool, func(int) int { return rng.Intn(k) })
-		clusters := romClusters(m, src, rom)
-		if ok := checkLookup(t, m, src, dst, rom); ok != (clusters <= lookupClusterLimit) {
-			t.Fatalf("W=%d live=%d: %d in-ROM clusters, served=%v (limit %d)", w, live, clusters, ok, lookupClusterLimit)
+		k := int(clustersRaw)%live + 1
+		pool := distinctAddrs(rng, k, 0, max(2*k, 64, len(rom)*3/2))
+		pick := func(l int) int { return l % k }
+		if seed&2 == 0 {
+			pick = func(int) int { return rng.Intn(k) }
 		}
+		scatterClusters(m, src, dst, rng, pool, pick)
+		checkLookup(t, m, src, dst, rom)
 	})
 }

@@ -76,10 +76,8 @@ type MachineW struct {
 	ffNext []uint64
 	holds  []holdGroup
 
-	// Cluster-loop scratch of LookupBus and AccessRAM (len W each) and
-	// LookupBus's back-off counter.
+	// Cluster-loop scratch of LookupBus and AccessRAM (len W each).
 	unserved, same, sub []uint64
-	lookupSkip          int
 }
 
 // DeltaState is what is left of the cone-delta evaluator: an empty type
@@ -266,7 +264,7 @@ func (m *MachineW) CompactLanes(src []uint16) {
 		}
 		copy(vals[:newAG], sc[:newAG])
 	}
-	m.ag, m.live, m.lookupSkip = newAG, n, 0
+	m.ag, m.live = newAG, n
 }
 
 // LaneWireWords returns the length of an ExportLane snapshot: the wire
@@ -352,7 +350,7 @@ func (m *MachineW) InputStateLane(lane int) []bool {
 
 // Reset initialises every lane with the flip-flop reset state.
 func (m *MachineW) Reset() {
-	m.ag, m.live, m.lookupSkip = m.W, 64*m.W, 0
+	m.ag, m.live = m.W, 64*m.W
 	for i := range m.values {
 		m.values[i] = 0
 	}
@@ -399,7 +397,7 @@ func (m *MachineW) FFLane(ffIndex, lane int) bool {
 // LoadState broadcasts a scalar flip-flop snapshot (from Machine.FFState)
 // into every lane and restores the full lane width after a CompactLanes.
 func (m *MachineW) LoadState(ffs []bool) {
-	m.ag, m.live, m.lookupSkip = m.W, 64*m.W, 0
+	m.ag, m.live = m.W, 64*m.W
 	for i, v := range ffs {
 		var x uint64
 		if v {

@@ -231,18 +231,6 @@ func TestTraceSetAndAppendEmpty(t *testing.T) {
 	}
 }
 
-func TestRecordUntil(t *testing.T) {
-	nl, q, en, _ := buildCounter(t)
-	m := New(nl)
-	m.SetValue(en, true)
-	tr := RecordUntil(m, NopEnv, 100, func(m *Machine) bool {
-		return m.ReadBus(q) == 9
-	})
-	if tr.NumCycles() != 10 {
-		t.Fatalf("cycles = %d, want 10", tr.NumCycles())
-	}
-}
-
 func TestTraceAppendWrongWidthPanics(t *testing.T) {
 	tr := NewTrace(8)
 	defer func() {

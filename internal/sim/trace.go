@@ -138,18 +138,3 @@ func RecordObserved(m *Machine, env Env, cycles int, onCycle func(int)) *Trace {
 	}
 	return t
 }
-
-// RecordUntil runs until stop returns true or maxCycles is reached.
-func RecordUntil(m *Machine, env Env, maxCycles int, stop func(m *Machine) bool) *Trace {
-	t := NewTrace(m.NL.NumWires())
-	for i := 0; i < maxCycles; i++ {
-		m.Settle(env)
-		t.Append(m.Values())
-		if stop != nil && stop(m) {
-			m.CommitFFs()
-			break
-		}
-		m.CommitFFs()
-	}
-	return t
-}

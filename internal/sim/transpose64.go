@@ -4,8 +4,10 @@ import "repro/internal/netlist"
 
 // Bus transposition between the machine's bit-plane representation (one
 // uint64 lane word per wire, bit l = lane 64g+l of group g) and the
-// lane-major representation (one bus value per lane) of the dense
-// instruction fetch, which LaneMemory runs when LookupBus declines.
+// lane-major representation (one bus value per lane). No product path
+// calls them: the memory environment never leaves the bit planes. They stay
+// as the lane-major reference of the lookup and memory tests and as the
+// gather/scatter rungs bench/ladder.go times.
 //
 // Both directions use the carry-free multiply transpose: for a word y
 // holding one payload bit per byte (y & 0x0101...), the product
@@ -98,7 +100,7 @@ func scatterPlanes(vals *[64]uint16, n int, planes *[16]uint64) {
 }
 
 // GatherBusG reads a bus (up to 16 wires) for lane group g:
-// out[l] bit i = wire bus[i] in lane 64g+l.
+// out[l] bit i = wire bus[i] in lane 64g+l. No product path calls it.
 func (m *MachineW) GatherBusG(bus []netlist.WireID, g int, out *[64]uint16) {
 	n := len(bus)
 	if n > 16 {
@@ -112,7 +114,8 @@ func (m *MachineW) GatherBusG(bus []netlist.WireID, g int, out *[64]uint16) {
 }
 
 // ScatterBusG drives a bus (up to 16 wires) for lane group g from per-lane
-// values: wire bus[i] carries bit i of lane 64g+l's value vals[l].
+// values: wire bus[i] carries bit i of lane 64g+l's value vals[l]. No
+// product path calls it.
 func (m *MachineW) ScatterBusG(bus []netlist.WireID, g int, vals *[64]uint16) {
 	n := len(bus)
 	if n > 16 {
@@ -127,7 +130,7 @@ func (m *MachineW) ScatterBusG(bus []netlist.WireID, g int, vals *[64]uint16) {
 
 // GatherLanes reads a bus (up to 16 wires) across the active lanes:
 // out[l] bit i = wire bus[i] in lane l. len(out) must be 64·W; entries
-// beyond ActiveLanes() are left untouched.
+// beyond ActiveLanes() are left untouched. No product path calls it.
 func (m *MachineW) GatherLanes(bus []netlist.WireID, out []uint16) {
 	for g := 0; g < m.ag; g++ {
 		m.GatherBusG(bus, g, (*[64]uint16)(out[g*64:]))
@@ -136,7 +139,7 @@ func (m *MachineW) GatherLanes(bus []netlist.WireID, out []uint16) {
 
 // ScatterLanes drives a bus (up to 16 wires) across the active lanes from
 // per-lane values. len(vals) must be 64·W; entries beyond ActiveLanes()
-// are ignored.
+// are ignored. No product path calls it.
 func (m *MachineW) ScatterLanes(bus []netlist.WireID, vals []uint16) {
 	for g := 0; g < m.ag; g++ {
 		m.ScatterBusG(bus, g, (*[64]uint16)(vals[g*64:]))

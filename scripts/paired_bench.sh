@@ -11,14 +11,15 @@
 #
 #   bash bench/run.sh --workload WORKLOAD --trace 0 --seed S [bench flags...]
 #
-# N times in each, alternating parent, change, parent, change, ... so that
-# drift of the box falls on both alike. Pair i runs seed SEED0+i in both;
-# SEED0 defaults to a number taken from the clock, so every call runs fresh
-# seeds. For each end-to-end metric of BENCHMARK.json it prints both medians,
-# the distance between the quartiles of the parent's runs, the median of the
-# per-pair ratios change/parent and the number of pairs the change won
-# (strictly better in the metric's direction). A run whose report is not
-# "correct" is counted and named.
+# N times in each, in pairs that alternate which side goes first: the change
+# first in odd pairs (1, 3, ...), the parent first in even ones, so that
+# drift of the box and a first-run penalty fall on both alike. Pair k runs
+# seed SEED0+k-1 in both; SEED0 defaults to a number taken from the clock,
+# so every call runs fresh seeds. For each end-to-end metric of
+# BENCHMARK.json it prints both medians, the distance between the quartiles
+# of the parent's runs, the median of the per-pair ratios change/parent and
+# the number of pairs the change won (strictly better in the metric's
+# direction). A run whose report is not "correct" is counted and named.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
@@ -70,8 +71,13 @@ echo "paired_bench: $workload, parent $(git -C "$root" rev-parse --short "$paren
 : >"$tmp/runs"
 for i in $(seq 0 $((n - 1))); do
 	s=$((seed0 + i))
-	run parent "$s" "$@"
-	run change "$s" "$@"
+	if [ $((i % 2)) -eq 0 ]; then
+		run change "$s" "$@"
+		run parent "$s" "$@"
+	else
+		run parent "$s" "$@"
+		run change "$s" "$@"
+	fi
 	echo "  pair $((i + 1))/$n done (seed $s)" >&2
 done
 
